@@ -1,0 +1,13 @@
+"""Puts the benchmark modules and the library sources on the import path.
+
+Run with ``python3 -m pytest perfbench/tests`` from the root of a checkout.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (BENCH, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
