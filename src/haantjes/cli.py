@@ -27,6 +27,7 @@ from .linearizer import (
     search_tensor,
     t_pattern_candidates,
 )
+from .polyring import format_signed_sum
 from .structure import (
     PRECONDITION_VIOLATED,
     TRIANGULARIZABLE,
@@ -282,31 +283,17 @@ def _cmd_search(args) -> int:
         for index, (vec, flag) in enumerate(
             zip(result.coefficient_basis, result.basis_equivalent), start=1
         ):
-            combo = _format_combination(vec, labels)
+            combo = format_signed_sum(zip(vec, labels))
             print(f"basis {index}: {combo}")
             print(f"  row spaces equal to the conditions: {'yes' if flag else 'no'}")
         if result.random_coefficients is not None:
-            combo = _format_combination(result.random_coefficients, labels)
+            combo = format_signed_sum(zip(result.random_coefficients, labels))
             print(f"random combination: {combo}")
             print(
                 "  row spaces equal to the conditions: "
                 f"{'yes' if result.random_equivalent else 'no'}"
             )
     return EX_OK if result.coefficient_basis else 1
-
-
-def _format_combination(coefficients, labels) -> str:
-    chunks = []
-    for coeff, label in zip(coefficients, labels):
-        if not coeff:
-            continue
-        mag = -coeff if coeff < 0 else coeff
-        body = label if mag == 1 else f"{mag}*{label}"
-        if not chunks:
-            chunks.append(f"-{body}" if coeff < 0 else body)
-        else:
-            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(chunks) if chunks else "0"
 
 
 def _positive_int(text: str) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polyring import Poly, RationalMatrix, sum_of_products
@@ -511,75 +512,74 @@ class Tensor12:
 
 # ----- slotwise contractions of a (1,2)-tensor with an operator -------------
 #
-# These three maps are the building blocks of the level recursions: every
-# higher torsion level is a sum of compositions of them, with no fresh
-# derivatives involved.
+# These are the building blocks of the level recursions: every higher
+# torsion level, every higher bracket level and the dimension-four
+# obstruction is a signed sum of them, with no fresh derivatives involved.
+# ``contract`` computes such a sum with one accumulator per component.
+
+UPPER, LOWER_J, LOWER_K = "upper", "lower_j", "lower_k"
+
+
+def _factor_pairs(S: Tensor12, A: OperatorField, slot: str):
+    """The factor pairs of one contraction term, as a function of (i, j, k)."""
+    s, a, r = S.comps, A.entries, range(S.dim)
+    if slot == UPPER:  # A^i_m S^m_{jk}
+        fibres = [[tuple(s[m][j][k] for m in r) for k in r] for j in r]
+        return lambda i, j, k: zip(a[i], fibres[j][k])
+    columns = tuple(zip(*a))
+    if slot == LOWER_J:  # S^i_{mk} A^m_j
+        fibres = [[tuple(s[i][m][k] for m in r) for k in r] for i in r]
+        return lambda i, j, k: zip(fibres[i][k], columns[j])
+    if slot == LOWER_K:  # S^i_{jm} A^m_k
+        return lambda i, j, k: zip(s[i][j], columns[k])
+    raise ValueError(f"unknown contraction slot {slot!r}")
+
+
+def contract(*terms: tuple[Tensor12, OperatorField, str]) -> Tensor12:
+    """The sum of slotwise contractions, each term given as (S, A, slot).
+
+    ``slot`` is UPPER for (A S)^i_{jk} = A^i_m S^m_{jk}, LOWER_J for
+    S(A xi, eta) = S^i_{mk} A^m_j, or LOWER_K for S(xi, A eta) =
+    S^i_{jm} A^m_k.  A term is subtracted by passing -A.  All products of a
+    component land in one ``sum_of_products`` accumulator, so no
+    intermediate tensor is built per term.
+    """
+    if not terms:
+        raise ValueError("a contraction needs at least one term")
+    n, nv = terms[0][0].dim, terms[0][0].nvars
+    for S, A, _ in terms:
+        if (S.dim, S.nvars) != (n, nv) or (A.dim, A.nvars) != (n, nv):
+            raise ValueError("operator and tensor live on different spaces")
+    pairs = [_factor_pairs(S, A, slot) for S, A, slot in terms]
+    r = range(n)
+    return Tensor12(
+        [
+            [
+                [
+                    sum_of_products(chain.from_iterable(p(i, j, k) for p in pairs), nv)
+                    for k in r
+                ]
+                for j in r
+            ]
+            for i in r
+        ],
+        nvars=nv,
+    )
 
 
 def contract_upper(A: OperatorField, S: Tensor12) -> Tensor12:
     """(A S)^i_{jk} = A^i_s S^s_{jk}: compose the output slot with A."""
-    if A.dim != S.dim or A.nvars != S.nvars:
-        raise ValueError("operator and tensor live on different spaces")
-    n, nv = S.dim, S.nvars
-    return Tensor12(
-        [
-            [
-                [
-                    sum_of_products(
-                        ((A.entries[i][s], S.comps[s][j][k]) for s in range(n)), nv
-                    )
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        nvars=nv,
-    )
+    return contract((S, A, UPPER))
 
 
 def contract_lower_j(S: Tensor12, A: OperatorField) -> Tensor12:
     """S'(xi, eta) = S(A xi, eta): S'^i_{jk} = S^i_{rk} A^r_j."""
-    if A.dim != S.dim or A.nvars != S.nvars:
-        raise ValueError("operator and tensor live on different spaces")
-    n, nv = S.dim, S.nvars
-    return Tensor12(
-        [
-            [
-                [
-                    sum_of_products(
-                        ((S.comps[i][r][k], A.entries[r][j]) for r in range(n)), nv
-                    )
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        nvars=nv,
-    )
+    return contract((S, A, LOWER_J))
 
 
 def contract_lower_k(S: Tensor12, A: OperatorField) -> Tensor12:
     """S'(xi, eta) = S(xi, A eta): S'^i_{jk} = S^i_{jt} A^t_k."""
-    if A.dim != S.dim or A.nvars != S.nvars:
-        raise ValueError("operator and tensor live on different spaces")
-    n, nv = S.dim, S.nvars
-    return Tensor12(
-        [
-            [
-                [
-                    sum_of_products(
-                        ((S.comps[i][j][t], A.entries[t][k]) for t in range(n)), nv
-                    )
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        nvars=nv,
-    )
+    return contract((S, A, LOWER_K))
 
 
 # ----- affine coordinate changes ---------------------------------------------
@@ -646,55 +646,35 @@ class AffineChange:
             sub[r + 1] = Poly(nvars, terms)
         return sub
 
+    def _jacobians(self, nvars: int) -> tuple[OperatorField, OperatorField]:
+        """The constant matrices M and M^{-1} as operator fields."""
+        return (
+            OperatorField(self.matrix.rows, nvars=nvars),
+            OperatorField(self.inverse_matrix.rows, nvars=nvars),
+        )
+
     def pushforward_operator(self, L: OperatorField) -> OperatorField:
         """The operator field in the new coordinates: M L(x(y)) M^{-1}."""
         if L.dim != self.dim:
             raise ValueError("operator and affine change act on different spaces")
         sub = self._substitution(L.nvars)
-        moved = [[e.substitute(sub) for e in row] for row in L.entries]
-        n, nv = L.dim, L.nvars
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                total = Poly.zero(nv)
-                for s in range(n):
-                    for r in range(n):
-                        c = self.matrix.rows[i][s] * self.inverse_matrix.rows[r][j]
-                        if c:
-                            total = total + moved[s][r] * c
-                row.append(total)
-            out.append(row)
-        return OperatorField(out, nvars=nv)
+        moved = OperatorField(
+            [[e.substitute(sub) for e in row] for row in L.entries], nvars=L.nvars
+        )
+        M, W = self._jacobians(L.nvars)
+        return M.compose(moved).compose(W)
 
     def pushforward_tensor(self, S: Tensor12) -> Tensor12:
         """Transport of a (1,2)-tensor: one Jacobian up, two inverses down."""
         if S.dim != self.dim:
             raise ValueError("tensor and affine change act on different spaces")
         sub = self._substitution(S.nvars)
-        moved = [
-            [[c.substitute(sub) for c in col] for col in plane] for plane in S.comps
-        ]
-        n, nv = S.dim, S.nvars
-        M = self.matrix.rows
-        W = self.inverse_matrix.rows
-        out = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                col = []
-                for k in range(n):
-                    total = Poly.zero(nv)
-                    for s in range(n):
-                        for r in range(n):
-                            for t in range(n):
-                                c = M[i][s] * W[r][j] * W[t][k]
-                                if c:
-                                    total = total + moved[s][r][t] * c
-                    col.append(total)
-                plane.append(col)
-            out.append(plane)
-        return Tensor12(out, nvars=nv)
+        moved = Tensor12(
+            [[[c.substitute(sub) for c in col] for col in plane] for plane in S.comps],
+            nvars=S.nvars,
+        )
+        M, W = self._jacobians(S.nvars)
+        return contract_upper(M, contract_lower_k(contract_lower_j(moved, W), W))
 
 
 # ----- operator files ---------------------------------------------------------
@@ -716,7 +696,7 @@ def operator_from_json(text: str, filename: str = "<string>") -> OperatorField:
         raise ValueError(f"{filename}: expected a JSON object")
     dim = doc.get("dim")
     matrix = doc.get("matrix")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"{filename}: 'dim' must be a positive integer")
     if (
         not isinstance(matrix, list)

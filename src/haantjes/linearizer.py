@@ -27,7 +27,7 @@ lam_k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -38,8 +38,8 @@ from .geometry import (
     contract_lower_k,
     contract_upper,
 )
-from .polyring import Poly, RationalMatrix
-from .torsion import nijenhuis, torsion_level, torsion_step
+from .polyring import Poly, RationalMatrix, format_signed_sum
+from .torsion import nijenhuis, obstruction, torsion_level, torsion_step
 
 Rational = Union[int, Fraction]
 
@@ -191,21 +191,10 @@ class LinearSystemQ:
     def equation_strings(self) -> list[str]:
         """Human-readable equations, one per row, zeros omitted."""
         names = self.unknowns
-        lines = []
-        for label, row in zip(self.labels, self.matrix.rows):
-            chunks = []
-            for name, coeff in zip(names, row):
-                if not coeff:
-                    continue
-                mag = -coeff if coeff < 0 else coeff
-                body = name if mag == 1 else f"{mag}*{name}"
-                if not chunks:
-                    chunks.append(f"-{body}" if coeff < 0 else body)
-                else:
-                    chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-            lhs = "".join(chunks) if chunks else "0"
-            lines.append(f"{label}: {lhs} = 0")
-        return lines
+        return [
+            f"{label}: {format_signed_sum(zip(row, names))} = 0"
+            for label, row in zip(self.labels, self.matrix.rows)
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -325,13 +314,7 @@ def linearized_system(
     for _ in range((2 if level == "t" else level) - 1):
         T = torsion_step(T, L0)
     if level == "t":
-        M = L0.traceless_part()
-        MH = contract_upper(M, T)
-        T = (
-            contract_lower_j(MH, M)
-            - contract_lower_k(MH, M)
-            + contract_lower_j(T, M.compose(M))
-        )
+        T = obstruction(T, L0.traceless_part())
     return extract_system(T)
 
 
@@ -441,16 +424,34 @@ def t_pattern_candidates() -> tuple[Candidate, ...]:
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of the search for combinations matching the integrability
-    conditions of the linearized family."""
+    conditions of the linearized family.
+
+    The equivalence flags are computed at construction against
+    ``conditions``, which is not stored.
+    """
 
     dim: int
     candidates: tuple[Candidate, ...]
     coefficient_basis: tuple[tuple[Fraction, ...], ...]
-    basis_equivalent: tuple[bool, ...]
     random_coefficients: tuple[Fraction, ...] | None
-    random_equivalent: bool | None
     _candidate_rows: tuple  # per candidate: aligned full component rows
     _component_labels: tuple[str, ...]
+    conditions: InitVar[LinearSystemQ]
+    basis_equivalent: tuple[bool, ...] = field(init=False)
+    random_equivalent: bool | None = field(init=False)
+
+    def __post_init__(self, conditions: LinearSystemQ):
+        def equivalent(coefficients):
+            return self.combined_system(coefficients).rowspace_equal(conditions)
+
+        object.__setattr__(
+            self, "basis_equivalent", tuple(map(equivalent, self.coefficient_basis))
+        )
+        object.__setattr__(
+            self,
+            "random_equivalent",
+            None if self.random_coefficients is None else equivalent(self.random_coefficients),
+        )
 
     def combined_system(self, coefficients: Sequence[Rational]) -> LinearSystemQ:
         """The system of the combination sum_m c_m * candidate_m."""
@@ -537,17 +538,12 @@ def search_tensor(
     traceless = L0.traceless_part()
     width = n ** 3
 
-    component_labels = tuple(
-        f"S^{i + 1}_{{{j + 1},{k + 1}}}"
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
     candidate_rows = []
     for cand in cands:
         tensor = cand.build(bases[cand.base], traceless)
         system = extract_system(tensor, include_zero_rows=True)
         candidate_rows.append(tuple(system.matrix.rows))
+    component_labels = system.labels  # every component, the same for all candidates
 
     conditions = cond3_system(n)
     kernel = conditions.matrix.nullspace_basis()
@@ -571,22 +567,7 @@ def search_tensor(
             for t in range(len(cands))
         ]
 
-    result = SearchResult(
-        dim=n,
-        candidates=cands,
-        coefficient_basis=tuple(coefficient_space),
-        basis_equivalent=(),
-        random_coefficients=None,
-        random_equivalent=None,
-        _candidate_rows=tuple(candidate_rows),
-        _component_labels=component_labels,
-    )
-    flags = tuple(
-        result.combined_system(vec).rowspace_equal(conditions)
-        for vec in coefficient_space
-    )
     random_coefficients = None
-    random_equivalent = None
     if coefficient_space:
         rng = random.Random(seed)
         weights = [Fraction(rng.randint(1, 9)) for _ in coefficient_space]
@@ -594,16 +575,12 @@ def search_tensor(
             sum(w * vec[m] for w, vec in zip(weights, coefficient_space))
             for m in range(len(cands))
         )
-        random_equivalent = result.combined_system(random_coefficients).rowspace_equal(
-            conditions
-        )
     return SearchResult(
         dim=n,
         candidates=cands,
         coefficient_basis=tuple(coefficient_space),
-        basis_equivalent=flags,
         random_coefficients=random_coefficients,
-        random_equivalent=random_equivalent,
         _candidate_rows=tuple(candidate_rows),
         _component_labels=component_labels,
+        conditions=conditions,
     )

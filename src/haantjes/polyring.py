@@ -95,6 +95,30 @@ def _mono_str(m: Mono) -> str:
     return "*".join(parts)
 
 
+def format_signed_sum(terms: Iterable[tuple[Rational, str]]) -> str:
+    """Print sum c * name as ``name - 2*other + 1/2*third``.
+
+    Zero coefficients are skipped, an empty name stands for a constant term
+    and the empty sum prints as ``0``.
+    """
+    chunks = []
+    for coeff, name in terms:
+        if not coeff:
+            continue
+        mag = -coeff if coeff < 0 else coeff
+        if not name:
+            body = str(mag)
+        elif mag == 1:
+            body = name
+        else:
+            body = f"{mag}*{name}"
+        if not chunks:
+            chunks.append(f"-{body}" if coeff < 0 else body)
+        else:
+            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+    return "".join(chunks) if chunks else "0"
+
+
 class Poly:
     """A polynomial in Q[x1, ..., x{nvars}] with exact rational coefficients.
 
@@ -374,22 +398,7 @@ class Poly:
     # ----- printing and parsing -------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            mag = -coeff if coeff < 0 else coeff
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = _mono_str(mono)
-            else:
-                body = f"{mag}*{_mono_str(mono)}"
-            if not chunks:
-                chunks.append(f"-{body}" if coeff < 0 else body)
-            else:
-                chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(chunks)
+        return format_signed_sum((c, _mono_str(m)) for m, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self})"

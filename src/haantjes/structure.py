@@ -303,6 +303,7 @@ def verdict(L: OperatorField, points: Sequence[Sequence[Rational]] = ()) -> Verd
     report = regularity_check(L, sample)
     obstruction_name = "haantjes" if n == 3 else "tensor_t"
     if not report.regular:
+        kind, zero = PRECONDITION_VIOLATED, None
         certificates = tuple(
             {
                 "point": [str(c) for c in pt],
@@ -311,38 +312,26 @@ def verdict(L: OperatorField, points: Sequence[Sequence[Rational]] = ()) -> Verd
             }
             for pt, profile in report.failing_points()
         )
-        return Verdict(
-            kind=PRECONDITION_VIOLATED,
-            dim=n,
-            report=report,
-            obstruction_name=obstruction_name,
-            obstruction_zero=None,
-            certificates=certificates,
-            detail="the rank profile of (L - (trace/dim) Id)^k deviates from a "
-            "single Jordan block at a sampled point",
+        detail = (
+            "the rank profile of (L - (trace/dim) Id)^k deviates from a "
+            "single Jordan block at a sampled point"
         )
-    obstruction = torsion_level(L, 2) if n == 3 else tensor_t(L)
-    if obstruction.is_zero:
-        return Verdict(
-            kind=TRIANGULARIZABLE,
-            dim=n,
-            report=report,
-            obstruction_name=obstruction_name,
-            obstruction_zero=True,
-            certificates=(),
-            detail=f"the {obstruction_name} obstruction vanishes identically",
+    else:
+        obstruction = torsion_level(L, 2) if n == 3 else tensor_t(L)
+        zero = obstruction.is_zero
+        kind = TRIANGULARIZABLE if zero else NOT_TRIANGULARIZABLE
+        certificates = tuple(
+            {"component": f"S^{i}_{{{j},{k}}}", "value": str(value)}
+            for (i, j, k), value in obstruction.nonzero_components()[:3]
         )
-    witnesses = obstruction.nonzero_components()[:3]
-    certificates = tuple(
-        {"component": f"S^{i}_{{{j},{k}}}", "value": str(value)}
-        for (i, j, k), value in witnesses
-    )
+        state = "vanishes identically" if zero else "has nonzero components"
+        detail = f"the {obstruction_name} obstruction {state}"
     return Verdict(
-        kind=NOT_TRIANGULARIZABLE,
+        kind=kind,
         dim=n,
         report=report,
         obstruction_name=obstruction_name,
-        obstruction_zero=False,
+        obstruction_zero=zero,
         certificates=certificates,
-        detail=f"the {obstruction_name} obstruction has nonzero components",
+        detail=detail,
     )

@@ -23,9 +23,13 @@ from __future__ import annotations
 import random
 
 from .geometry import (
+    LOWER_J,
+    LOWER_K,
+    UPPER,
     OperatorField,
     Tensor12,
     VectorField,
+    contract,
     contract_lower_j,
     contract_lower_k,
     contract_upper,
@@ -63,16 +67,12 @@ def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
     contraction, T(xi, L eta) the lower-k contraction, and the outer L's act
     on the upper slot; no derivatives of L enter at this stage.
     """
-    if T.dim != L.dim or T.nvars != L.nvars:
-        raise ValueError("tensor and operator live on different spaces")
     jT = contract_lower_j(T, L)
     kT = contract_lower_k(T, L)
     LT = contract_upper(L, T)
-    return (
-        contract_upper(L, LT)
-        + contract_lower_k(jT, L)
-        - contract_upper(L, jT)
-        - contract_upper(L, kT)
+    minus_L = -L
+    return contract(
+        (LT, L, UPPER), (jT, L, LOWER_K), (jT, minus_L, UPPER), (kT, minus_L, UPPER)
     )
 
 
@@ -127,8 +127,6 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
 
     With K = L it collapses to twice the torsion step.
     """
-    if T.dim != K.dim or T.nvars != K.nvars:
-        raise ValueError("tensor and operator live on different spaces")
     K._check_compatible(L)
     jK = contract_lower_j(T, K)
     jL = contract_lower_j(T, L)
@@ -136,15 +134,16 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
     kL = contract_lower_k(T, L)
     KT = contract_upper(K, T)
     LT = contract_upper(L, T)
-    return (
-        contract_upper(K, LT)
-        + contract_lower_k(jK, L)
-        - contract_upper(L, jK)
-        - contract_upper(K, kL)
-        + contract_upper(L, KT)
-        + contract_lower_k(jL, K)
-        - contract_upper(K, jL)
-        - contract_upper(L, kK)
+    minus_K, minus_L = -K, -L
+    return contract(
+        (LT, K, UPPER),
+        (jK, L, LOWER_K),
+        (jK, minus_L, UPPER),
+        (kL, minus_K, UPPER),
+        (KT, L, UPPER),
+        (jL, K, LOWER_K),
+        (jL, minus_K, UPPER),
+        (kK, minus_L, UPPER),
     )
 
 
@@ -160,33 +159,34 @@ def fn_bracket_level(K: OperatorField, L: OperatorField, level: int) -> Tensor12
     return T
 
 
-def tensor_t(L: OperatorField, force: bool = False) -> Tensor12:
-    """The obstruction tensor built from the Haantjes torsion of L.
-
-    With M = L - (trace(L)/dim) Id the traceless part and H the Haantjes
-    torsion,
+def obstruction(H: Tensor12, M: OperatorField) -> Tensor12:
+    """The obstruction contraction of a tensor H with an operator M:
 
         T^i_{jk} = M^i_s H^s_{rk} M^r_j - M^i_s H^s_{jr} M^r_k
                    + H^i_{sk} M^s_r M^r_j.
 
-    Its vanishing characterizes triangularizability for regular operator
-    fields in dimension four, which is why other dimensions are rejected
-    unless ``force=True`` (the trace/dim normalization then makes the same
-    contraction well defined, but no equivalence is claimed).
+    ``tensor_t`` applies it to the Haantjes torsion and the traceless part.
+    """
+    MH = contract_upper(M, H)
+    return contract((MH, M, LOWER_J), (MH, -M, LOWER_K), (H, M.compose(M), LOWER_J))
+
+
+def tensor_t(L: OperatorField, force: bool = False) -> Tensor12:
+    """The obstruction tensor built from the Haantjes torsion of L.
+
+    With M = L - (trace(L)/dim) Id the traceless part and H the Haantjes
+    torsion, T = obstruction(H, M).  Its vanishing characterizes
+    triangularizability for regular operator fields in dimension four,
+    which is why other dimensions are rejected unless ``force=True`` (the
+    trace/dim normalization then makes the same contraction well defined,
+    but no equivalence is claimed).
     """
     if L.dim != 4 and not force:
         raise ValueError(
             f"tensor_t targets dimension 4, got dim={L.dim}; "
             "pass force=True to evaluate the same contraction anyway"
         )
-    M = L.traceless_part()
-    H = torsion_level(L, 2)
-    MH = contract_upper(M, H)
-    return (
-        contract_lower_j(MH, M)
-        - contract_lower_k(MH, M)
-        + contract_lower_j(H, M.compose(M))
-    )
+    return obstruction(torsion_level(L, 2), L.traceless_part())
 
 
 # ----- random commuting pairs for the bracket test-bed -----------------------

@@ -3,13 +3,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from haantjes.cli import main
 
 from conftest import OPERATORS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -65,6 +70,15 @@ def test_torsion_missing_file_is_a_data_error(capsys):
     code, _, err = _run(capsys, "torsion", _op("no-such.json"))
     assert code == 65
     assert "no-such.json" in err
+
+
+def test_boolean_dimension_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"dim": True, "matrix": [["x1"]]}), encoding="utf-8")
+    code, out, err = _run(capsys, "torsion", path)
+    assert code == 65
+    assert out == ""
+    assert "'dim' must be a positive integer" in err
 
 
 def test_torsion_rejects_non_positive_level(capsys):
@@ -239,3 +253,20 @@ def test_missing_command_is_a_usage_error(capsys):
 def test_unknown_command_is_a_usage_error(capsys):
     code, _, err = _run(capsys, "frobnicate")
     assert code == 64
+
+
+# ----- golden outputs -------------------------------------------------------------------
+
+
+def test_golden_outputs_replay_byte_identically(monkeypatch):
+    """Every recorded invocation in ``golden/cli.json`` prints the same bytes
+    and exits with the same code; ``golden/record.py`` re-records them."""
+    cases = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(OPERATORS.parent)
+    for case in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(case["argv"])
+        got = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        want = {key: case[key] for key in got}
+        assert got == want, " ".join(case["argv"])

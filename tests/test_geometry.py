@@ -9,10 +9,14 @@ from fractions import Fraction
 import pytest
 
 from haantjes.geometry import (
+    LOWER_J,
+    LOWER_K,
+    UPPER,
     AffineChange,
     OperatorField,
     Tensor12,
     VectorField,
+    contract,
     contract_lower_j,
     contract_lower_k,
     contract_upper,
@@ -183,6 +187,36 @@ def test_contract_lower_slots_feed_the_operator_into_arguments():
     assert contract_lower_k(s, a).apply(xi, eta) == s.apply(xi, a.apply(eta))
 
 
+def test_contract_sums_its_single_slot_terms():
+    rng = random.Random(23)
+    a = random_operator(rng, 3, max_degree=1)
+    b = random_operator(rng, 3, max_degree=1)
+    s = _random_tensor(rng, 3)
+    t = _random_tensor(rng, 3)
+    fused = contract((s, a, UPPER), (t, -b, LOWER_J), (s, b, LOWER_K), (t, a, LOWER_J))
+    expected = (
+        contract_upper(a, s)
+        - contract_lower_j(t, b)
+        + contract_lower_k(s, b)
+        + contract_lower_j(t, a)
+    )
+    assert fused == expected
+
+
+def test_contract_rejects_an_operator_from_another_space():
+    rng = random.Random(29)
+    s = _random_tensor(rng, 3)
+    wider = OperatorField.identity(3, nvars=4)
+    smaller = OperatorField.identity(2)
+    for slot in (UPPER, LOWER_J, LOWER_K):
+        with pytest.raises(ValueError):
+            contract((s, OperatorField.identity(3), UPPER), (s, wider, slot))
+        with pytest.raises(ValueError):
+            contract((s, smaller, slot))
+    with pytest.raises(ValueError, match="slot"):
+        contract((s, OperatorField.identity(3), "middle"))
+
+
 def test_tensor_evaluation_at_a_point():
     rng = random.Random(19)
     s = _random_tensor(rng, 2)
@@ -286,3 +320,5 @@ def test_operator_json_rejects_non_square_matrix():
 def test_operator_json_rejects_missing_keys():
     with pytest.raises(ValueError):
         operator_from_json(json.dumps({"matrix": []}), "bad.json")
+    with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+        operator_from_json(json.dumps({"dim": True, "matrix": [["x1"]]}), "bad.json")

@@ -22,7 +22,9 @@ from haantjes.linearizer import (
     t_pattern_candidates,
 )
 from haantjes.polyring import Poly
-from haantjes.torsion import torsion_level
+from haantjes.torsion import tensor_t, torsion_level
+
+from conftest import random_operator
 
 
 # ----- the linearized family -----------------------------------------------------
@@ -189,9 +191,15 @@ def test_default_candidate_family_is_deduplicated_and_labeled():
     assert "N(0,0,0)" in labels and "H(0,0,0)" in labels
 
 
-def test_t_pattern_candidates_match_the_obstruction_contractions():
+def test_t_pattern_candidates_match_the_obstruction_contractions(operators_dir):
     cands = t_pattern_candidates()
     assert [c.label for c in cands] == ["H(1,1,0)", "H(1,0,1)", "H(0,2,0)"]
+    rng = random.Random(41)
+    operators = [load_operator(operators_dir / f"{name}.json") for name in ("ex1", "ex4", "ex5")]
+    operators += [random_operator(rng, 4, 1) for _ in range(2)]
+    c1, c2, c3 = cands
+    for L in operators:
+        assert tensor_t(L) == c1.apply(L) - c2.apply(L) + c3.apply(L)
 
 
 def test_candidate_rejects_negative_powers():
