@@ -74,24 +74,15 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
         raise UsageError(f"point {text!r}: {exc}") from exc
 
 
-def _emit_tensor(headline: str, meta: dict, tensor, args) -> int:
-    """Print a (1,2)-tensor (optionally evaluated at a point); exit 0 iff zero."""
-    if args.at is not None:
-        point = _parse_point(args.at, tensor.dim)
-        values = tensor.evaluate(point)
-        components = [
-            {"i": i + 1, "j": j + 1, "k": k + 1, "value": str(values[i][j][k])}
-            for i in range(tensor.dim)
-            for j in range(tensor.dim)
-            for k in range(tensor.dim)
-            if values[i][j][k]
-        ]
+def _emit_tensor(headline: str, meta: dict, tensor_at, dim: int, args) -> int:
+    """Print ``tensor_at(point)``, the point from ``--at`` or None; exit 0 iff zero."""
+    point = None if args.at is None else _parse_point(args.at, dim)
+    components = [
+        {"i": i, "j": j, "k": k, "value": str(value)}
+        for (i, j, k), value in tensor_at(point).nonzero_components()
+    ]
+    if point is not None:
         meta = dict(meta, point=[str(c) for c in point])
-    else:
-        components = [
-            {"i": i, "j": j, "k": k, "value": str(value)}
-            for (i, j, k), value in tensor.nonzero_components()
-        ]
     zero = not components
     if args.json:
         print(json.dumps(dict(meta, zero=zero, components=components), indent=2))
@@ -108,11 +99,11 @@ def _emit_tensor(headline: str, meta: dict, tensor, args) -> int:
 
 def _cmd_torsion(args) -> int:
     L = _load(args.file)
-    tensor = torsion_level(L, args.level)
     return _emit_tensor(
         f"torsion level {args.level} of {args.file}",
         {"command": "torsion", "file": args.file, "level": args.level},
-        tensor,
+        lambda at: torsion_level(L, args.level, at=at),
+        L.dim,
         args,
     )
 
@@ -124,7 +115,6 @@ def _cmd_fn(args) -> int:
         raise DataError(
             f"{args.file_k} has dim {K.dim} but {args.file_l} has dim {L.dim}"
         )
-    tensor = fn_bracket_level(K, L, args.level)
     return _emit_tensor(
         f"bracket level {args.level} of {args.file_k}, {args.file_l}",
         {
@@ -132,24 +122,24 @@ def _cmd_fn(args) -> int:
             "files": [args.file_k, args.file_l],
             "level": args.level,
         },
-        tensor,
+        lambda at: fn_bracket_level(K, L, args.level, at=at),
+        L.dim,
         args,
     )
 
 
 def _cmd_tensor_t(args) -> int:
     L = _load(args.file)
-    try:
-        tensor = tensor_t(L, force=args.force)
-    except ValueError as exc:
+    if L.dim != 4 and not args.force:  # reported before a malformed point
         raise UsageError(
             f"the obstruction tensor targets dimension 4, got dim={L.dim}; "
             "use --force to evaluate the same contraction anyway"
-        ) from exc
+        )
     return _emit_tensor(
         f"obstruction tensor of {args.file}",
         {"command": "tensor-t", "file": args.file, "force": args.force},
-        tensor,
+        lambda at: tensor_t(L, force=args.force, at=at),
+        L.dim,
         args,
     )
 

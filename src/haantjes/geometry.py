@@ -512,9 +512,9 @@ class Tensor12:
 
 # ----- slotwise contractions of a (1,2)-tensor with an operator -------------
 #
-# These are the building blocks of the level recursions: every higher
-# torsion level, every higher bracket level and the dimension-four
-# obstruction is a signed sum of them, with no fresh derivatives involved.
+# Every tensor in ``torsion`` is a signed sum of these: over the first
+# derivatives of the operators for Nijenhuis and the bracket, over the
+# previous tensor for the higher levels and the dimension-four obstruction.
 # ``contract`` computes such a sum with one accumulator per component.
 
 UPPER, LOWER_J, LOWER_K = "upper", "lower_j", "lower_k"

@@ -39,7 +39,7 @@ from .geometry import (
     contract_upper,
 )
 from .polyring import Poly, RationalMatrix, format_signed_sum
-from .torsion import nijenhuis, obstruction, torsion_level, torsion_step
+from .torsion import nijenhuis, tensor_t, torsion_level, torsion_step
 
 Rational = Union[int, Fraction]
 
@@ -286,36 +286,21 @@ def extract_system(S: Tensor12, include_zero_rows: bool = False) -> LinearSystem
     )
 
 
-def _origin_tensors(n: int, include_eigenvalue: bool):
-    """Nijenhuis tensor and operator of the linearized family at x = 0.
-
-    Levels beyond the first are pure contractions, so they may be computed
-    from these two objects; evaluation at the origin commutes with every
-    contraction because it is a ring homomorphism.
-    """
-    family = build_linearized(n, include_eigenvalue)
-    origin = {v: 0 for v in range(1, n + 1)}
-    N0 = nijenhuis(family.operator).set_vars(origin)
-    L0 = family.operator.set_vars(origin)
-    return N0, L0
-
-
 def linearized_system(
     n: int, kind: str = "haantjes", include_eigenvalue: bool = False
 ) -> LinearSystemQ:
     """The system cut out by a torsion tensor of the linearized family.
 
     ``kind`` is one of ``nijenhuis``, ``haantjes``, ``level:m`` (the level-m
-    torsion) or ``t`` (the dimension-four obstruction contraction).
+    torsion) or ``t`` (the dimension-four obstruction contraction).  The
+    tensor is computed at x = 0 from the 1-jet of the family there.
     """
     level = _resolve_kind(kind)
-    N0, L0 = _origin_tensors(n, include_eigenvalue)
-    T = N0
-    for _ in range((2 if level == "t" else level) - 1):
-        T = torsion_step(T, L0)
+    L = build_linearized(n, include_eigenvalue).operator
+    origin = (0,) * n
     if level == "t":
-        T = obstruction(T, L0.traceless_part())
-    return extract_system(T)
+        return extract_system(tensor_t(L, force=True, at=origin))
+    return extract_system(torsion_level(L, level, at=origin))
 
 
 def _resolve_kind(kind: str):
@@ -532,11 +517,11 @@ def search_tensor(
     cands = tuple(candidates) if candidates is not None else default_candidates()
     if not cands:
         raise ValueError("at least one candidate tensor is required")
-    N0, L0 = _origin_tensors(n, include_eigenvalue=False)
-    H0 = torsion_step(N0, L0)
-    bases = {"nijenhuis": N0, "haantjes": H0}
+    L = build_linearized(n).operator
+    N0 = nijenhuis(L, at=(0,) * n)
+    L0 = L.set_vars(dict.fromkeys(range(1, n + 1), 0))
+    bases = {"nijenhuis": N0, "haantjes": torsion_step(N0, L0)}
     traceless = L0.traceless_part()
-    width = n ** 3
 
     candidate_rows = []
     for cand in cands:
@@ -546,26 +531,26 @@ def search_tensor(
     component_labels = system.labels  # every component, the same for all candidates
 
     conditions = cond3_system(n)
-    kernel = conditions.matrix.nullspace_basis()
+    # Keep only the support of each kernel vector: one or two nonzeros.
+    kernel = [
+        [(col, value) for col, value in enumerate(vec) if value]
+        for vec in conditions.matrix.nullspace_basis()
+    ]
 
     # c is admissible iff sum_m c_m row_m(component) annihilates the kernel
     # of the integrability conditions, for every component row.
     equations = set()
     for idx in range(len(component_labels)):
-        for vec in kernel:
+        for support in kernel:
             equation = tuple(
-                sum(row[idx][col] * vec[col] for col in range(width))
+                sum(row[idx][col] * value for col, value in support)
                 for row in candidate_rows
             )
             if any(equation):
                 equations.add(equation)
-    if equations:
-        coefficient_space = RationalMatrix(sorted(equations)).nullspace_basis()
-    else:
-        coefficient_space = [
-            tuple(Fraction(1 if m == t else 0) for m in range(len(cands)))
-            for t in range(len(cands))
-        ]
+    # With no equation, one zero row gives the whole space its standard basis.
+    rows = sorted(equations) or [(Fraction(0),) * len(cands)]
+    coefficient_space = RationalMatrix(rows).nullspace_basis()
 
     random_coefficients = None
     if coefficient_space:

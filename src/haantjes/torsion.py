@@ -12,10 +12,14 @@ stored tensor:
                      - L T^(m-1)(L xi, eta) - L T^(m-1)(xi, L eta).
 
 Level 1 is the Nijenhuis torsion, level 2 the classical Haantjes torsion.
-Only level 1 differentiates anything; all higher levels are pure
-contractions of the previous level with L, which is what torsion_step
-implements.  The Froelicher-Nijenhuis bracket of two operator fields and
-its levels follow the same pattern with an eight-term scheme.
+The Froelicher-Nijenhuis bracket of two operator fields and its levels
+follow the same pattern with an eight-term scheme.
+
+Every tensor here is a contraction of the 1-jet of its operators, the
+entries L^i_j and their first derivatives d_k L^i_j, in
+``geometry.contract``.  Its value at a point depends only on L(p) and
+dL(p), so ``at=point`` evaluates the jet there before any contraction;
+parameter variables beyond the coordinate block stay symbolic.
 """
 
 from __future__ import annotations
@@ -28,36 +32,43 @@ from .geometry import (
     UPPER,
     OperatorField,
     Tensor12,
-    VectorField,
     contract,
     contract_lower_j,
     contract_lower_k,
     contract_upper,
-    lie_bracket,
 )
 from .polyring import Poly
 
 
-def nijenhuis(L: OperatorField) -> Tensor12:
-    """The Nijenhuis torsion of L, evaluated on the coordinate fields.
+def _at(field, at):
+    """The field with the coordinates x1..x{dim} set to the point ``at``;
+    unchanged for ``at=None``."""
+    if at is None:
+        return field
+    if len(at) != field.dim:
+        raise ValueError(f"point has {len(at)} coordinates, expected {field.dim}")
+    return field.set_vars(dict(enumerate(at, start=1)))
 
-    Component (j, k) is T_L(d/dx_j, d/dx_k); since coordinate fields
-    commute, the L^2 [xi, eta] term drops out.
+
+def _jet(L: OperatorField, at) -> tuple[OperatorField, Tensor12, Tensor12]:
+    """The 1-jet (L, D, Dt) at ``at``: D^i_{jk} = d_k L^i_j, Dt^i_{jk} = d_j L^i_k."""
+    r = range(L.dim)
+    D = _at(Tensor12([[[e.diff(k + 1) for k in r] for e in row] for row in L.entries]), at)
+    Dt = Tensor12([[[D.comps[i][k][j] for k in r] for j in r] for i in r])
+    return _at(L, at), D, Dt
+
+
+def nijenhuis(L: OperatorField, at=None) -> Tensor12:
+    """The Nijenhuis torsion of L on the coordinate fields:
+
+        T^i_{jk} = L^m_j d_m L^i_k - L^m_k d_m L^i_j
+                   + L^i_m d_k L^m_j - L^i_m d_j L^m_k.
+
+    Coordinate fields commute, so the L^2 [xi, eta] term drops out.
     """
-    n, nv = L.dim, L.nvars
-    columns = [L.column(j + 1) for j in range(n)]
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            value = (
-                lie_bracket(columns[j], columns[k])
-                - L.apply(lie_bracket(columns[j], basis[k]))
-                - L.apply(lie_bracket(basis[j], columns[k]))
-            )
-            for i in range(n):
-                comps[i][j][k] = value.components[i]
-    return Tensor12(comps, nvars=nv)
+    L, D, Dt = _jet(L, at)
+    minus_L = -L
+    return contract((Dt, L, LOWER_J), (Dt, minus_L, UPPER), (D, minus_L, LOWER_K), (D, L, UPPER))
 
 
 def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
@@ -76,17 +87,18 @@ def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
     )
 
 
-def torsion_level(L: OperatorField, level: int) -> Tensor12:
+def torsion_level(L: OperatorField, level: int, at=None) -> Tensor12:
     """The level-m torsion of L: level 1 is Nijenhuis, level 2 Haantjes."""
     if not isinstance(level, int) or level < 1:
         raise ValueError(f"level must be a positive integer, got {level!r}")
-    T = nijenhuis(L)
+    T = nijenhuis(L, at=at)
+    L = _at(L, at)
     for _ in range(level - 1):
         T = torsion_step(T, L)
     return T
 
 
-def fn_bracket(K: OperatorField, L: OperatorField) -> Tensor12:
+def fn_bracket(K: OperatorField, L: OperatorField, at=None) -> Tensor12:
     """The Froelicher-Nijenhuis bracket [[K, L]] of two operator fields.
 
     On vector fields:
@@ -99,22 +111,19 @@ def fn_bracket(K: OperatorField, L: OperatorField) -> Tensor12:
     [[L, L]] is twice the Nijenhuis torsion of L.
     """
     K._check_compatible(L)
-    n, nv = K.dim, K.nvars
-    k_cols = [K.column(j + 1) for j in range(n)]
-    l_cols = [L.column(j + 1) for j in range(n)]
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            value = (
-                lie_bracket(k_cols[j], l_cols[k])
-                + lie_bracket(l_cols[j], k_cols[k])
-                - K.apply(lie_bracket(l_cols[j], basis[k]) + lie_bracket(basis[j], l_cols[k]))
-                - L.apply(lie_bracket(k_cols[j], basis[k]) + lie_bracket(basis[j], k_cols[k]))
-            )
-            for i in range(n):
-                comps[i][j][k] = value.components[i]
-    return Tensor12(comps, nvars=nv)
+    K, DK, DtK = _jet(K, at)
+    L, DL, DtL = _jet(L, at)
+    minus_K, minus_L = -K, -L
+    return contract(
+        (DtL, K, LOWER_J),
+        (DtK, L, LOWER_J),
+        (DtL, minus_K, UPPER),
+        (DtK, minus_L, UPPER),
+        (DL, minus_K, LOWER_K),
+        (DK, minus_L, LOWER_K),
+        (DL, K, UPPER),
+        (DK, L, UPPER),
+    )
 
 
 def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12:
@@ -147,13 +156,14 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
     )
 
 
-def fn_bracket_level(K: OperatorField, L: OperatorField, level: int) -> Tensor12:
+def fn_bracket_level(K: OperatorField, L: OperatorField, level: int, at=None) -> Tensor12:
     """The level-m bracket: level 1 is [[K, L]], higher levels iterate the
     eight-term scheme.  For K = L, level m equals 2^m times the level-m
     torsion of L."""
     if not isinstance(level, int) or level < 1:
         raise ValueError(f"level must be a positive integer, got {level!r}")
-    T = fn_bracket(K, L)
+    T = fn_bracket(K, L, at=at)
+    K, L = _at(K, at), _at(L, at)
     for _ in range(level - 1):
         T = fn_bracket_step(T, K, L)
     return T
@@ -171,7 +181,7 @@ def obstruction(H: Tensor12, M: OperatorField) -> Tensor12:
     return contract((MH, M, LOWER_J), (MH, -M, LOWER_K), (H, M.compose(M), LOWER_J))
 
 
-def tensor_t(L: OperatorField, force: bool = False) -> Tensor12:
+def tensor_t(L: OperatorField, force: bool = False, at=None) -> Tensor12:
     """The obstruction tensor built from the Haantjes torsion of L.
 
     With M = L - (trace(L)/dim) Id the traceless part and H the Haantjes
@@ -186,7 +196,7 @@ def tensor_t(L: OperatorField, force: bool = False) -> Tensor12:
             f"tensor_t targets dimension 4, got dim={L.dim}; "
             "pass force=True to evaluate the same contraction anyway"
         )
-    return obstruction(torsion_level(L, 2), L.traceless_part())
+    return obstruction(torsion_level(L, 2, at=at), _at(L, at).traceless_part())
 
 
 # ----- random commuting pairs for the bracket test-bed -----------------------

@@ -48,6 +48,14 @@ def cases() -> list[list[str]]:
         out.append(["fn", _op(k), _op(l), "--level", "2", "--at", POINTS[dim]])
     out.append(["fn", _op("ex2"), _op("ex3"), "--level", "2"])
     out.append(["fn", _op("dim2a"), _op("dim2b"), "--level", "3"])
+    for name in ("ex1", "ex4", "ex5"):
+        out.append(["tensor-t", _op(name), "--at", POINTS[4]])
+    out.append(["tensor-t", _op("ex2"), "--force", "--at", POINTS[3]])
+    # Two errors at once: the dimension message wins over the point's arity.
+    out.append(["tensor-t", _op("ex2"), "--at", POINTS[2]])
+    for name in ("ex1", "ex4"):
+        out.append(["torsion", _op(name), "--level", "3", "--at", POINTS[4]])
+    out.append(["fn", _op("ex1"), _op("ex4"), "--at", POINTS[4]])
     for dim in ("3", "4"):
         kinds = ["nijenhuis", "haantjes"] + (["level:3", "t"] if dim == "4" else [])
         for kind in kinds:

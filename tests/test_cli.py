@@ -66,6 +66,18 @@ def test_torsion_evaluated_at_a_point(capsys):
     assert "S^1_{2,3} = -8" in out
 
 
+def test_at_point_reads_decimals_and_exponents_exactly(capsys):
+    """A coordinate is read by ``Fraction``: 1.5 is 3/2 and 1e3 is 1000."""
+    for text, exact in (("1.5,2,-1", "3/2,2,-1"), ("1e3,2,-1", "1000,2,-1")):
+        docs = []
+        for point in (text, exact):
+            code, out, _ = _run(capsys, "torsion", _op("ex3.json"), "--at", point, "--json")
+            assert code == 1
+            docs.append(json.loads(out))
+        assert docs[0]["components"] == docs[1]["components"]
+        assert docs[0]["point"] == docs[1]["point"] == exact.split(",")
+
+
 def test_torsion_missing_file_is_a_data_error(capsys):
     code, _, err = _run(capsys, "torsion", _op("no-such.json"))
     assert code == 65

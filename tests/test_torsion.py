@@ -25,7 +25,7 @@ from haantjes.torsion import (
     torsion_step,
 )
 
-from conftest import random_operator, random_poly
+from conftest import random_operator, random_point, random_poly
 
 
 # ----- independent reference implementations ----------------------------------
@@ -51,6 +51,30 @@ def _nijenhuis_direct(L: OperatorField) -> Tensor12:
             )
             for i in range(n):
                 comps[i][j][k] = val.components[i]
+    return Tensor12(comps, nvars=nv)
+
+
+def _fn_bracket_direct(K: OperatorField, L: OperatorField) -> Tensor12:
+    """Bracket from its defining identity, evaluated on basis fields:
+
+    [[K, L]](xi, eta) = [K xi, L eta] + [L xi, K eta] + (K L + L K) [xi, eta]
+                        - K([L xi, eta] + [xi, L eta]) - L([K xi, eta] + [xi, K eta]).
+    """
+    n, nv = K.dim, K.nvars
+    k_cols = [K.column(j + 1) for j in range(n)]
+    l_cols = [L.column(j + 1) for j in range(n)]
+    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
+    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            value = (
+                lie_bracket(k_cols[j], l_cols[k])
+                + lie_bracket(l_cols[j], k_cols[k])
+                - K.apply(lie_bracket(l_cols[j], basis[k]) + lie_bracket(basis[j], l_cols[k]))
+                - L.apply(lie_bracket(k_cols[j], basis[k]) + lie_bracket(basis[j], k_cols[k]))
+            )
+            for i in range(n):
+                comps[i][j][k] = value.components[i]
     return Tensor12(comps, nvars=nv)
 
 
@@ -219,6 +243,14 @@ def test_bracket_levels_collapse_to_torsion_levels_on_the_diagonal():
         assert fn_bracket_level(L, L, m) == Fraction(2 ** m) * torsion_level(L, m)
 
 
+def test_bracket_matches_direct_bracket_evaluation():
+    rng = random.Random(66)
+    for n in (2, 3, 4):
+        K = random_operator(rng, n, max_degree=2)
+        L = random_operator(rng, n, max_degree=2)
+        assert fn_bracket(K, L) == _fn_bracket_direct(K, L)
+
+
 def test_bracket_level_requires_matching_dimensions():
     rng = random.Random(65)
     with pytest.raises(ValueError):
@@ -249,6 +281,50 @@ def test_obstruction_tensor_rejects_other_dimensions_without_force():
     with pytest.raises(ValueError, match="dimension 4"):
         tensor_t(L)
     assert tensor_t(L, force=True) == _tensor_t_direct(L)
+
+
+# ----- pointwise evaluation from the 1-jet -----------------------------------------
+
+
+def _constant_values(T: Tensor12) -> tuple:
+    """The components of a tensor with constant components, as nested tuples."""
+    return tuple(
+        tuple(tuple(c.constant_value() for c in col) for col in plane) for plane in T.comps
+    )
+
+
+def test_tensors_at_a_point_equal_the_evaluated_symbolic_tensors():
+    rng = random.Random(73)
+    for n, degree in ((2, 2), (3, 2), (4, 1)):
+        K = random_operator(rng, n, max_degree=degree)
+        L = random_operator(rng, n, max_degree=degree)
+        p = random_point(rng, n)
+        for level in (1, 2, 3):
+            assert _constant_values(torsion_level(L, level, at=p)) == (
+                torsion_level(L, level).evaluate(p)
+            )
+        for level in (1, 2):
+            assert _constant_values(fn_bracket_level(K, L, level, at=p)) == (
+                fn_bracket_level(K, L, level).evaluate(p)
+            )
+        assert _constant_values(tensor_t(L, force=True, at=p)) == (
+            tensor_t(L, force=True).evaluate(p)
+        )
+
+
+def test_tensors_reject_a_point_of_the_wrong_length():
+    rng = random.Random(75)
+    K, L = random_operator(rng, 3), random_operator(rng, 3)
+    for at in ((1, 2), (1, 2, 3, 4)):
+        for compute in (
+            lambda: nijenhuis(L, at=at),
+            lambda: torsion_level(L, 2, at=at),
+            lambda: fn_bracket(K, L, at=at),
+            lambda: fn_bracket_level(K, L, 2, at=at),
+            lambda: tensor_t(L, force=True, at=at),
+        ):
+            with pytest.raises(ValueError, match="coordinates"):
+                compute()
 
 
 # ----- commuting triangular pairs -------------------------------------------------
