@@ -25,6 +25,14 @@ from .polyring import Poly, RationalMatrix, sum_of_products
 Rational = Union[int, Fraction]
 
 
+def as_point(point: Sequence[Rational], dim: int) -> tuple[Fraction, ...]:
+    """The point as exact coordinates; ValueError unless it has ``dim`` of them."""
+    values = tuple(Fraction(v) for v in point)
+    if len(values) != dim:
+        raise ValueError(f"point has {len(values)} coordinates, expected {dim}")
+    return values
+
+
 def _as_poly(value, nvars: int) -> Poly:
     if isinstance(value, Poly):
         if value.nvars != nvars:
@@ -386,12 +394,6 @@ class Tensor12:
             tuple(tuple(_as_poly(c, nvars) for c in col) for col in plane)
             for plane in grid
         )
-
-    @classmethod
-    def zero(cls, dim: int, nvars: int | None = None) -> "Tensor12":
-        nv = nvars or dim
-        z = Poly.zero(nv)
-        return cls([[[z] * dim for _ in range(dim)] for _ in range(dim)], nvars=nv)
 
     @property
     def is_zero(self) -> bool:

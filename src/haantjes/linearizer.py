@@ -18,17 +18,22 @@ of the flag of coordinate distributions.  ``search_tensor`` looks for
 rational combinations of candidate tensors whose system is equivalent to
 those conditions.
 
-Variable layout inside the polynomial ring: variables 1..n are the
-coordinates x1..xn, variable n + (i-1) n^2 + (j-1) n + k is the coefficient
-a^i_{j;k}, and with the eigenvalue part enabled variable n + n^3 + k is
-lam_k.
+Every tensor of the family is read at x = 0 once, by ``_linear_forms``,
+as one sparse linear form {column: coefficient} per component; systems,
+combinations and the search are built from these forms.  The one column
+layout of the unknowns is ``_unknown_columns``: a^i_{j;k} in lexicographic
+order of (i, j, k), then lam_k with the eigenvalue part enabled.  In the
+polynomial ring, variables 1..n are the coordinates x1..xn and the unknown
+in column c is variable n + 1 + c.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Mapping, Sequence, Union
 
 from .geometry import (
@@ -44,21 +49,19 @@ from .torsion import nijenhuis, tensor_t, torsion_level, torsion_step
 Rational = Union[int, Fraction]
 
 
-def _param_var(n: int, i: int, j: int, k: int) -> int:
-    """Polynomial variable index (1-based) of the coefficient a^i_{j;k}."""
-    for name, index in (("i", i), ("j", j), ("k", k)):
-        if not (1 <= index <= n):
-            raise ValueError(f"index {name}={index} out of range 1..{n}")
-    return n + (i - 1) * n * n + (j - 1) * n + k
+def _unknown_columns(n: int, include_eigenvalue: bool) -> dict[tuple[int, ...], int]:
+    """The column of each unknown, keyed (i, j, k) for a^i_{j;k} and (k,) for lam_k."""
+    keys = list(product(range(1, n + 1), repeat=3))
+    if include_eigenvalue:
+        keys += [(k,) for k in range(1, n + 1)]
+    return {key: column for column, key in enumerate(keys)}
 
 
-def _coefficient_name(n: int, column: int) -> str:
-    """The unknown behind a 0-based system column."""
-    if column < n ** 3:
-        i, rest = divmod(column, n * n)
-        j, k = divmod(rest, n)
-        return f"a^{i + 1}_{{{j + 1};{k + 1}}}"
-    return f"lam_{column - n ** 3 + 1}"
+def _unknown_name(key: tuple[int, ...]) -> str:
+    if len(key) == 3:
+        i, j, k = key
+        return f"a^{i}_{{{j};{k}}}"
+    return f"lam_{key[0]}"
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,7 @@ class ParamOperator:
 
     @property
     def unknown_count(self) -> int:
-        n = self.dim
-        return n ** 3 + (n if self.include_eigenvalue else 0)
-
-    def coefficient_index(self, i: int, j: int, k: int) -> int:
-        """The polynomial variable carrying a^i_{j;k}."""
-        return _param_var(self.dim, i, j, k)
-
-    def eigenvalue_index(self, k: int) -> int:
-        """The polynomial variable carrying lam_k."""
-        if not self.include_eigenvalue:
-            raise ValueError("this family was built without eigenvalue terms")
-        if not (1 <= k <= self.dim):
-            raise ValueError(f"index k={k} out of range 1..{self.dim}")
-        return self.dim + self.dim ** 3 + k
+        return len(_unknown_columns(self.dim, self.include_eigenvalue))
 
     def specialize(
         self,
@@ -95,14 +85,16 @@ class ParamOperator:
 
         The result is an honest operator field on Q^dim again.
         """
+        columns = _unknown_columns(self.dim, self.include_eigenvalue)
         values = {
             var: Fraction(0)
             for var in range(self.dim + 1, self.operator.nvars + 1)
         }
-        for (i, j, k), value in coefficients.items():
-            values[self.coefficient_index(i, j, k)] = Fraction(value)
-        for k, value in (eigenvalue or {}).items():
-            values[self.eigenvalue_index(k)] = Fraction(value)
+        lams = (((k,), value) for k, value in (eigenvalue or {}).items())
+        for key, value in [*coefficients.items(), *lams]:
+            if key not in columns:
+                raise ValueError(f"{_unknown_name(key)} is not an unknown of this family")
+            values[self.dim + 1 + columns[key]] = Fraction(value)
         plain = self.operator.set_vars(values)
         return OperatorField(
             [[e.with_nvars(self.dim) for e in row] for row in plain.entries],
@@ -114,30 +106,21 @@ def build_linearized(n: int, include_eigenvalue: bool = False) -> ParamOperator:
     """The linearized family in dimension n, with symbolic coefficients."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    nvars = n + n ** 3 + (n if include_eigenvalue else 0)
+    columns = _unknown_columns(n, include_eigenvalue)
+    nvars = n + len(columns)
+    r = range(1, n + 1)
+
+    def linear_form(keys):
+        """sum_k x_k u_k, where u_k is the unknown keys[k - 1]."""
+        return Poly(nvars, {((k, 1), (n + 1 + columns[key], 1)): 1 for k, key in zip(r, keys)})
+
     J = OperatorField.jordan_block(n, nvars=nvars)
     A = OperatorField(
-        [
-            [
-                Poly(
-                    nvars,
-                    {
-                        ((k, 1), (_param_var(n, i, j, k), 1)): 1
-                        for k in range(1, n + 1)
-                    },
-                )
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, n + 1)
-        ],
-        nvars=nvars,
+        [[linear_form([(i, j, k) for k in r]) for j in r] for i in r], nvars=nvars
     )
     L = J + J.compose(A) - A.compose(J)
     if include_eigenvalue:
-        lam = Poly(
-            nvars,
-            {((k, 1), (n + n ** 3 + k, 1)): 1 for k in range(1, n + 1)},
-        )
+        lam = linear_form([(k,) for k in r])
         L = L + lam * OperatorField.identity(n, nvars=nvars)
     return ParamOperator(operator=L, dim=n, include_eigenvalue=include_eigenvalue)
 
@@ -159,13 +142,27 @@ class LinearSystemQ:
     include_eigenvalue: bool
 
     def __post_init__(self):
-        expected = self.dim ** 3 + (self.dim if self.include_eigenvalue else 0)
+        expected = len(_unknown_columns(self.dim, self.include_eigenvalue))
         if self.matrix.nrows != len(self.labels):
             raise ValueError("one label per row is required")
-        if self.matrix.nrows and self.matrix.ncols != expected:
+        if self.matrix.ncols != expected:
             raise ValueError(
                 f"system has {self.matrix.ncols} columns, expected {expected}"
             )
+
+    @classmethod
+    def _from_forms(cls, dim: int, include_eigenvalue: bool, forms) -> "LinearSystemQ":
+        """The system of the nonzero forms among (label, {column: coefficient})."""
+        width = len(_unknown_columns(dim, include_eigenvalue))
+        rows, labels = [], []
+        for label, form in forms:
+            if any(form.values()):
+                row = [0] * width
+                for column, coefficient in form.items():
+                    row[column] = coefficient
+                rows.append(row)
+                labels.append(label)
+        return cls(RationalMatrix(rows, width), tuple(labels), dim, include_eigenvalue)
 
     @property
     def rank(self) -> int:
@@ -173,8 +170,7 @@ class LinearSystemQ:
 
     @property
     def unknowns(self) -> tuple[str, ...]:
-        count = self.dim ** 3 + (self.dim if self.include_eigenvalue else 0)
-        return tuple(_coefficient_name(self.dim, c) for c in range(count))
+        return tuple(map(_unknown_name, _unknown_columns(self.dim, self.include_eigenvalue)))
 
     def _check_comparable(self, other: "LinearSystemQ") -> None:
         if self.dim != other.dim or self.include_eigenvalue != other.include_eigenvalue:
@@ -223,66 +219,52 @@ def cond3_system(n: int) -> LinearSystemQ:
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    rows, labels = [], []
-    width = n ** 3
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                row = [Fraction(0)] * width
-                row[_param_var(n, k, i, j) - n - 1] = Fraction(1)
-                row[_param_var(n, k, j, i) - n - 1] = Fraction(-1)
-                rows.append(row)
-                labels.append(f"a^{k}_{{{i};{j}}} - a^{k}_{{{j};{i}}}")
-    return LinearSystemQ(
-        matrix=RationalMatrix(rows),
-        labels=tuple(labels),
-        dim=n,
-        include_eigenvalue=False,
+    columns = _unknown_columns(n, False)
+    forms = (
+        (
+            f"{_unknown_name((k, i, j))} - {_unknown_name((k, j, i))}",
+            {columns[k, i, j]: 1, columns[k, j, i]: -1},
+        )
+        for i, j, k in combinations(range(1, n + 1), 3)
     )
+    return LinearSystemQ._from_forms(n, False, forms)
 
 
-def extract_system(S: Tensor12, include_zero_rows: bool = False) -> LinearSystemQ:
-    """The linear system { S^i_{jk}(0) = 0 } in the unknown coefficients.
+def _linear_forms(S: Tensor12) -> list[tuple[str, dict[int, Fraction]]]:
+    """Every component S^i_{jk} at x = 0 as (label, {column: coefficient}),
+    in lexicographic order of (i, j, k).
 
-    ``S`` must be a tensor over the extended ring of ``build_linearized``;
-    the coordinates are set to zero and every component must then be a
-    linear form in the unknowns (a non-affine component is reported by
-    name).  By default only components with a nonzero row are kept.
+    ``S`` must be a tensor over the ring of ``build_linearized``; a
+    component that is not a linear form in the unknowns there is reported
+    by name.
     """
     n = S.dim
-    extra = S.nvars - n
-    if extra == n ** 3:
-        include_eigenvalue = False
-    elif extra == n ** 3 + n:
-        include_eigenvalue = True
-    else:
-        raise ValueError(
-            f"tensor has {extra} non-coordinate variables, expected {n ** 3} "
-            f"or {n ** 3 + n}; not a linearized family tensor"
-        )
-    origin = {v: 0 for v in range(1, n + 1)}
-    rows, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                value = S.comps[i][j][k].set_vars(origin)
-                row = [Fraction(0)] * extra
-                for mono, coeff in value.terms.items():
-                    if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] <= n:
-                        raise ValueError(
-                            f"component S^{i + 1}_{{{j + 1},{k + 1}}} is not a "
-                            f"linear form in the coefficients: {value}"
-                        )
-                    row[mono[0][0] - n - 1] = coeff
-                if include_zero_rows or any(row):
-                    rows.append(row)
-                    labels.append(f"S^{i + 1}_{{{j + 1},{k + 1}}}")
-    matrix = RationalMatrix(rows) if rows else RationalMatrix.zero(0, extra)
-    return LinearSystemQ(
-        matrix=matrix,
-        labels=tuple(labels),
-        dim=n,
-        include_eigenvalue=include_eigenvalue,
+    origin = dict.fromkeys(range(1, n + 1), 0)
+    forms = []
+    for i, j, k in product(range(n), repeat=3):
+        label = f"S^{i + 1}_{{{j + 1},{k + 1}}}"
+        value = S.comps[i][j][k].set_vars(origin)
+        form = {}
+        for mono, coeff in value.terms.items():
+            if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] <= n:
+                raise ValueError(
+                    f"component {label} is not a linear form in the coefficients: {value}"
+                )
+            form[mono[0][0] - n - 1] = coeff
+        forms.append((label, form))
+    return forms
+
+
+def extract_system(S: Tensor12) -> LinearSystemQ:
+    """The linear system { S^i_{jk}(0) = 0 } in the unknown coefficients,
+    one row per component with a nonzero linear form."""
+    n = S.dim
+    for include_eigenvalue in (False, True):
+        if S.nvars == n + len(_unknown_columns(n, include_eigenvalue)):
+            return LinearSystemQ._from_forms(n, include_eigenvalue, _linear_forms(S))
+    raise ValueError(
+        f"tensor has {S.nvars - n} non-coordinate variables, expected {n ** 3} "
+        f"or {n ** 3 + n}; not a linearized family tensor"
     )
 
 
@@ -419,7 +401,7 @@ class SearchResult:
     candidates: tuple[Candidate, ...]
     coefficient_basis: tuple[tuple[Fraction, ...], ...]
     random_coefficients: tuple[Fraction, ...] | None
-    _candidate_rows: tuple  # per candidate: aligned full component rows
+    _candidate_forms: tuple  # per candidate: one linear form per component
     _component_labels: tuple[str, ...]
     conditions: InitVar[LinearSystemQ]
     basis_equivalent: tuple[bool, ...] = field(init=False)
@@ -438,43 +420,30 @@ class SearchResult:
             None if self.random_coefficients is None else equivalent(self.random_coefficients),
         )
 
-    def combined_system(self, coefficients: Sequence[Rational]) -> LinearSystemQ:
-        """The system of the combination sum_m c_m * candidate_m."""
+    def _coefficients(self, coefficients: Sequence[Rational]) -> list[Fraction]:
         coeffs = [Fraction(c) for c in coefficients]
         if len(coeffs) != len(self.candidates):
             raise ValueError(
                 f"expected {len(self.candidates)} coefficients, got {len(coeffs)}"
             )
-        width = self.dim ** 3
-        rows, labels = [], []
+        return coeffs
+
+    def combined_system(self, coefficients: Sequence[Rational]) -> LinearSystemQ:
+        """The system of the combination sum_m c_m * candidate_m."""
+        coeffs = self._coefficients(coefficients)
+        forms = []
         for idx, label in enumerate(self._component_labels):
-            row = [Fraction(0)] * width
-            for c, cand_rows in zip(coeffs, self._candidate_rows):
-                if not c:
-                    continue
-                for col, value in enumerate(cand_rows[idx]):
-                    if value:
-                        row[col] += c * value
-            if any(row):
-                rows.append(row)
-                labels.append(label)
-        matrix = RationalMatrix(rows) if rows else RationalMatrix.zero(0, width)
-        return LinearSystemQ(
-            matrix=matrix, labels=tuple(labels), dim=self.dim, include_eigenvalue=False
-        )
+            form = defaultdict(int)
+            for c, cand_forms in zip(coeffs, self._candidate_forms):
+                for column, value in cand_forms[idx].items():
+                    form[column] += c * value
+            forms.append((label, form))
+        return LinearSystemQ._from_forms(self.dim, False, forms)
 
     def contains(self, coefficients: Sequence[Rational]) -> bool:
         """Is the coefficient vector in the span of the solution basis?"""
-        coeffs = [Fraction(c) for c in coefficients]
-        if len(coeffs) != len(self.candidates):
-            raise ValueError(
-                f"expected {len(self.candidates)} coefficients, got {len(coeffs)}"
-            )
-        if not any(coeffs):
-            return True
-        if not self.coefficient_basis:
-            return False
-        basis = RationalMatrix(self.coefficient_basis)
+        coeffs = self._coefficients(coefficients)
+        basis = RationalMatrix(self.coefficient_basis, len(self.candidates))
         return basis.rowspace_contains(RationalMatrix([coeffs]))
 
     def to_dict(self) -> dict:
@@ -523,34 +492,29 @@ def search_tensor(
     bases = {"nijenhuis": N0, "haantjes": torsion_step(N0, L0)}
     traceless = L0.traceless_part()
 
-    candidate_rows = []
+    candidate_forms = []
     for cand in cands:
-        tensor = cand.build(bases[cand.base], traceless)
-        system = extract_system(tensor, include_zero_rows=True)
-        candidate_rows.append(tuple(system.matrix.rows))
-    component_labels = system.labels  # every component, the same for all candidates
+        labelled = _linear_forms(cand.build(bases[cand.base], traceless))
+        candidate_forms.append(tuple(form for _, form in labelled))
+    component_labels = tuple(label for label, _ in labelled)  # the same for all
 
     conditions = cond3_system(n)
-    # Keep only the support of each kernel vector: one or two nonzeros.
-    kernel = [
-        [(col, value) for col, value in enumerate(vec) if value]
-        for vec in conditions.matrix.nullspace_basis()
-    ]
-
-    # c is admissible iff sum_m c_m row_m(component) annihilates the kernel
-    # of the integrability conditions, for every component row.
-    equations = set()
-    for idx in range(len(component_labels)):
-        for support in kernel:
-            equation = tuple(
-                sum(row[idx][col] * value for col, value in support)
-                for row in candidate_rows
-            )
-            if any(equation):
-                equations.add(equation)
-    # With no equation, one zero row gives the whole space its standard basis.
-    rows = sorted(equations) or [(Fraction(0),) * len(cands)]
-    coefficient_space = RationalMatrix(rows).nullspace_basis()
+    # c is admissible iff sum_m c_m form_m annihilates the kernel of the
+    # integrability conditions, for every component.  A kernel vector has one
+    # or two nonzeros; ``touching`` lists them by column.
+    touching = defaultdict(list)
+    for v, vec in enumerate(conditions.matrix.nullspace_basis()):
+        for column, value in enumerate(vec):
+            if value:
+                touching[column].append((v, value))
+    equations = defaultdict(lambda: [0] * len(cands))  # (component, kernel vector)
+    for m, forms in enumerate(candidate_forms):
+        for idx, form in enumerate(forms):
+            for column, coefficient in form.items():
+                for v, value in touching[column]:
+                    equations[idx, v][m] += coefficient * value
+    rows = sorted({tuple(eq) for eq in equations.values() if any(eq)})
+    coefficient_space = RationalMatrix(rows, len(cands)).nullspace_basis()
 
     random_coefficients = None
     if coefficient_space:
@@ -565,7 +529,7 @@ def search_tensor(
         candidates=cands,
         coefficient_basis=tuple(coefficient_space),
         random_coefficients=random_coefficients,
-        _candidate_rows=tuple(candidate_rows),
+        _candidate_forms=tuple(candidate_forms),
         _component_labels=component_labels,
         conditions=conditions,
     )

@@ -570,40 +570,43 @@ def sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nvars: int) -> Poly:
 class RationalMatrix:
     """A dense matrix of Fractions with exact row-reduction.
 
-    The reduced row echelon form is canonical (unique), so two matrices have
-    equal row spaces iff their RREFs coincide after dropping zero rows.
+    The width is part of the value, so a matrix without rows keeps its
+    ``ncols``.  The reduced row echelon form is canonical (unique), so two
+    matrices of one width have equal row spaces iff their RREFs coincide
+    after dropping zero rows.
     """
 
-    __slots__ = ("rows", "_rref", "_pivots")
+    __slots__ = ("rows", "ncols", "_rref", "_pivots")
 
-    def __init__(self, rows: "Iterable[Iterable[Rational]] | RationalMatrix"):
+    def __init__(
+        self,
+        rows: "Iterable[Iterable[Rational]] | RationalMatrix",
+        ncols: int | None = None,
+    ):
+        """``ncols`` defaults to the length of the first row (0 without rows)."""
         if isinstance(rows, RationalMatrix):
-            rows = rows.rows
+            rows, ncols = rows.rows, rows.ncols
         data = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
-        if data:
-            width = len(data[0])
-            for row in data:
-                if len(row) != width:
-                    raise ValueError("rows have inconsistent lengths")
+        if ncols is None:
+            ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
+            raise ValueError(f"every row must have {ncols} entries")
         self.rows = data
+        self.ncols = ncols
         self._rref: tuple | None = None
         self._pivots: tuple[int, ...] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        return cls([[0] * ncols for _ in range(nrows)], ncols)
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -612,7 +615,7 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.rows == other.rows
 
     __hash__ = None
 
@@ -632,14 +635,17 @@ class RationalMatrix:
     # ----- arithmetic -----------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.rows)) if self.rows else RationalMatrix([])
+        return RationalMatrix(
+            [[row[j] for row in self.rows] for j in range(self.ncols)], self.nrows
+        )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         cols = other.transpose().rows
         return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
+            other.ncols,
         )
 
     def mul_vector(self, vector: Sequence[Rational]) -> tuple[Fraction, ...]:
@@ -652,25 +658,27 @@ class RationalMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def scale(self, factor: Rational) -> "RationalMatrix":
         c = Fraction(factor)
-        return RationalMatrix([[c * entry for entry in row] for row in self.rows])
+        return RationalMatrix([[c * entry for entry in row] for row in self.rows], self.ncols)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         """Vertical concatenation."""
-        if self.rows and other.rows and self.ncols != other.ncols:
+        if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return RationalMatrix(self.rows + other.rows)
+        return RationalMatrix(self.rows + other.rows, self.ncols)
 
     # ----- elimination ------------------------------------------------------
 
@@ -707,7 +715,7 @@ class RationalMatrix:
     def rref(self) -> "RationalMatrix":
         """The reduced row echelon form (computed once, then cached)."""
         self._reduce()
-        out = RationalMatrix(self._rref)
+        out = RationalMatrix(self._rref, self.ncols)
         out._rref = self._rref
         out._pivots = self._pivots
         return out
@@ -727,17 +735,11 @@ class RationalMatrix:
 
     def rowspace_contains(self, other: "RationalMatrix") -> bool:
         """True iff every row of ``other`` lies in the row space of ``self``."""
-        if other.nrows == 0:
-            return True
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
         return self.stack(other).rank == self.rank
 
     def rowspace_equal(self, other: "RationalMatrix") -> bool:
         """True iff both matrices span the same row space."""
         if self.ncols != other.ncols:
-            if self.nrows == 0 or other.nrows == 0:
-                return self.rank == other.rank == 0
             raise ValueError("column count mismatch")
         return self.nonzero_rref_rows() == other.nonzero_rref_rows()
 
@@ -769,4 +771,4 @@ class RationalMatrix:
              for i, row in enumerate(self.rows)]
         )
         reduced = augmented.rref()
-        return RationalMatrix([row[n:] for row in reduced.rows])
+        return RationalMatrix([row[n:] for row in reduced.rows], n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .geometry import OperatorField, VectorField, lie_bracket
+from .geometry import OperatorField, VectorField, as_point, lie_bracket
 from .polyring import Poly, RationalMatrix
 from .torsion import tensor_t, torsion_level
 
@@ -27,13 +27,6 @@ Point = tuple[Fraction, ...]
 TRIANGULARIZABLE = "Triangularizable"
 NOT_TRIANGULARIZABLE = "NotTriangularizable"
 PRECONDITION_VIOLATED = "PreconditionViolated"
-
-
-def _as_point(point: Sequence[Rational], dim: int) -> Point:
-    values = tuple(Fraction(v) for v in point)
-    if len(values) != dim:
-        raise ValueError(f"point has {len(values)} coordinates, expected {dim}")
-    return values
 
 
 def default_sample_points(dim: int, count: int = 2) -> tuple[Point, ...]:
@@ -101,7 +94,7 @@ def regularity_check(L: OperatorField, points: Sequence[Sequence[Rational]]) -> 
     """Evaluate the Jordan-block rank profile of L at each given point."""
     if L.nvars != L.dim:
         raise ValueError("regularity is defined for operator fields without parameters")
-    pts = [_as_point(p, L.dim) for p in points]
+    pts = [as_point(p, L.dim) for p in points]
     if not pts:
         raise ValueError("at least one sample point is required")
     n = L.dim
@@ -237,7 +230,7 @@ def is_integrable(
 
     certified = False
     for point in points:
-        pt = _as_point(point, nvars)
+        pt = as_point(point, nvars)
         matrix = RationalMatrix([[g.components[i](pt) for g in D.generators] for i in range(n)])
         if matrix.rank == r:
             certified = True
@@ -299,7 +292,7 @@ def verdict(L: OperatorField, points: Sequence[Sequence[Rational]] = ()) -> Verd
         raise ValueError(f"the decision procedure covers dimensions 3 and 4, got {n}")
     if L.nvars != n:
         raise ValueError("verdict is defined for operator fields without parameters")
-    sample = default_sample_points(n) + tuple(_as_point(p, n) for p in points)
+    sample = default_sample_points(n) + tuple(as_point(p, n) for p in points)
     report = regularity_check(L, sample)
     obstruction_name = "haantjes" if n == 3 else "tensor_t"
     if not report.regular:

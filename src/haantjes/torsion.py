@@ -32,6 +32,7 @@ from .geometry import (
     UPPER,
     OperatorField,
     Tensor12,
+    as_point,
     contract,
     contract_lower_j,
     contract_lower_k,
@@ -45,9 +46,7 @@ def _at(field, at):
     unchanged for ``at=None``."""
     if at is None:
         return field
-    if len(at) != field.dim:
-        raise ValueError(f"point has {len(at)} coordinates, expected {field.dim}")
-    return field.set_vars(dict(enumerate(at, start=1)))
+    return field.set_vars(dict(enumerate(as_point(at, field.dim), start=1)))
 
 
 def _jet(L: OperatorField, at) -> tuple[OperatorField, Tensor12, Tensor12]:

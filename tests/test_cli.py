@@ -222,6 +222,21 @@ def test_linearize_dim4_level2_is_strictly_stronger(capsys):
     assert "system contains the conditions: yes" in out
 
 
+@pytest.mark.parametrize("tensor", ["level:3", "t"])
+def test_linearize_compares_an_empty_system(capsys, tensor):
+    # Both tensors vanish on the dimension-3 family: a rank-0 system that
+    # does not contain the one integrability condition.
+    code, out, err = _run(capsys, "linearize", "--dim", "3", "--tensor", tensor)
+    assert (code, err) == (1, "")
+    assert "system rank: 0 (0 rows)" in out
+    assert "row spaces equal: no" in out
+    code, out, err = _run(capsys, "linearize", "--dim", "3", "--tensor", tensor, "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["system"]["rank"] == 0
+    assert doc["rowspace_equal"] is False
+
+
 def test_linearize_json(capsys):
     code, out, _ = _run(capsys, "linearize", "--dim", "3", "--json")
     assert code == 0

@@ -83,10 +83,22 @@ def test_specialize_reproduces_a_concrete_operator(operators_dir):
             assert frozen.entry(i, j) == truncated
 
 
+def test_specialize_sets_the_eigenvalue_part():
+    frozen = build_linearized(3, include_eigenvalue=True).specialize({}, {2: Fraction(5)})
+    for i in range(1, 4):
+        for j in range(1, 4):
+            expected = "5*x2" if i == j else "1" if j == i + 1 else "0"
+            assert frozen.entry(i, j) == Poly.parse(expected, 3)
+
+
 def test_specialize_rejects_unknown_parameters():
     family = build_linearized(3)
     with pytest.raises(ValueError):
         family.specialize({(5, 1, 1): Fraction(1)})
+    with pytest.raises(ValueError):
+        family.specialize({}, {1: Fraction(1)})
+    with pytest.raises(ValueError):
+        build_linearized(3, include_eigenvalue=True).specialize({}, {4: Fraction(1)})
 
 
 # ----- the reference linear system ------------------------------------------------
@@ -97,6 +109,10 @@ def test_cond3_row_count_and_rank():
         sys_n = cond3_system(n)
         assert len(sys_n.labels) == comb(n, 3)
         assert sys_n.rank == comb(n, 3)
+
+
+def test_cond3_system_in_dim2_is_empty_and_keeps_its_width():
+    assert cond3_system(2).matrix.shape == (0, 8)
 
 
 def test_cond3_dim3_single_row():
@@ -118,12 +134,6 @@ def test_extract_system_matches_full_symbolic_computation():
     fast = linearized_system(3, "haantjes")
     assert reference.labels == fast.labels
     assert reference.matrix == fast.matrix
-
-
-def test_extract_system_keeps_zero_rows_on_request():
-    family = build_linearized(3)
-    full = extract_system(torsion_level(family.operator, 2), include_zero_rows=True)
-    assert len(full.labels) == 27
 
 
 def test_extract_system_rejects_nonlinear_rows():
@@ -240,6 +250,27 @@ def test_search_accepts_the_bare_level2_tensor_in_dim3():
     result = search_tensor(3, bare)
     assert result.coefficient_basis == ((Fraction(1),),)
     assert result.basis_equivalent == (True,)
+
+
+def test_search_contains_the_zero_vector_and_nothing_else_of_an_empty_basis():
+    bare = (Candidate("haantjes", (0, 0, 0)),)
+    empty = search_tensor(4, bare)
+    assert empty.coefficient_basis == ()
+    assert empty.contains((0,))
+    assert not empty.contains((1,))
+    assert search_tensor(3, bare).contains((0,))
+
+
+def test_search_in_dim2_has_no_equations():
+    # Every candidate vanishes at the origin in dimension 2, and there are
+    # no integrability conditions: every combination is admissible.
+    result = search_tensor(2)
+    assert len(result.coefficient_basis) == 20
+    assert result.coefficient_basis == tuple(
+        tuple(Fraction(int(i == j)) for j in range(20)) for i in range(20)
+    )
+    assert all(result.basis_equivalent)
+    assert result.random_equivalent is True
 
 
 def test_search_is_seed_reproducible():

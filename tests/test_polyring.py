@@ -226,6 +226,24 @@ def test_rref_of_zero_matrix():
     assert m.rank == 0
 
 
+def test_empty_matrix_keeps_its_width():
+    m = RationalMatrix.zero(0, 5)
+    assert m.shape == (0, 5)
+    assert m.rank == 0
+    assert len(m.nullspace_basis()) == 5
+    assert m.transpose().shape == (5, 0)
+    assert m.stack(RationalMatrix([[1, 0, 0, 0, 0]])).shape == (1, 5)
+    assert m != RationalMatrix.zero(0, 4)
+
+
+def test_width_mismatch_raises_even_when_one_side_is_empty():
+    empty, row = RationalMatrix.zero(0, 3), RationalMatrix([[1, 0]])
+    for a, b in ((empty, row), (row, empty)):
+        for compare in (a.rowspace_equal, a.rowspace_contains, a.stack):
+            with pytest.raises(ValueError, match="column count mismatch"):
+                compare(b)
+
+
 def test_single_row_system_has_rank_one():
     m = RationalMatrix([[3, -3, 0, 0]])
     assert m.rank == 1

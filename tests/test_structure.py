@@ -74,6 +74,16 @@ def test_regularity_requires_points():
         regularity_check(L, [])
 
 
+def test_a_point_of_the_wrong_length_is_rejected(operators_dir):
+    L = load_operator(operators_dir / "ex2.json")
+    for point in ((1, 2), (1, 2, 3, 4)):
+        message = f"point has {len(point)} coordinates, expected 3"
+        with pytest.raises(ValueError, match=message):
+            regularity_check(L, [point])
+        with pytest.raises(ValueError, match=message):
+            verdict(L, points=[point])
+
+
 # ----- image distributions and integrability ------------------------------------
 
 
