@@ -1,10 +1,27 @@
 """Exact multivariate polynomial arithmetic and linear algebra over Q.
 
-Polynomials live in Q[x1, ..., xn].  A monomial is encoded as a tuple of
-(variable, exponent) pairs with 1-based variable indices, strictly ascending
-variables and positive exponents; the empty tuple is the constant monomial.
-A polynomial is a dict mapping monomials to nonzero Fraction coefficients,
-so equality, zero tests and cancellation are exact by construction.
+Polynomials live in Q[x1, ..., xn].  A Poly is stored as one positive
+integer denominator and a dict {packed monomial: nonzero integer numerator}.
+A packed monomial is one Python int in which every variable owns a bit field
+of the same width: the exponent of x{v} sits at bit ``width * (v - 1)``, so
+the product of two monomials is one integer addition and the product of two
+coefficients is one ``int * int``.  The form is canonical: no zero
+numerators and gcd(denominator, *numerators) == 1, so equality, zero tests
+and cancellation are exact by construction.  Every Poly carries an upper
+bound on its largest exponent; an operation whose result could outgrow a
+field repacks its operands into wider fields first, so exponents never wrap.
+
+``Poly.terms`` is the read-only view {monomial: Fraction}, where a monomial
+is a tuple of (variable, exponent) pairs with 1-based, strictly ascending
+variables and positive exponents, and the empty tuple is the constant
+monomial.  It is decoded on first read and then replaces the packed form;
+the next arithmetic packs it again.  A Poly holds one of the two forms at a
+time, and decoded (variable, exponent) pairs are interned, so reading the
+view of a large tensor does not double its memory.
+
+All sums of products, and with them ``*``, ``+``, ``-`` and ``**``, run
+through one kernel, ``sum_of_products``, which accumulates integers only and
+normalises its result once.
 
 The module also provides RationalMatrix, a dense matrix of Fractions with
 reduced row echelon form, rank, row-space comparison and nullspace
@@ -16,10 +33,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Mono = tuple  # tuple[tuple[int, int], ...]
 Rational = Union[int, Fraction]
+
+_WIDTH = 8  # bits per exponent field, doubled while an exponent needs more
+_PAIRS: dict = {}  # the interned (variable, exponent) pairs of decoded monomials
 
 
 class PolyParseError(ValueError):
@@ -30,30 +51,28 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted (variable, exponent) tuples, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
+def _width_for(top: int, width: int = _WIDTH) -> int:
+    """The field width, ``width`` doubled as often as needed, that holds ``top``."""
+    while top >> width:
+        width *= 2
+    return width
+
+
+def _encode(mono: Mono, width: int) -> int:
+    return sum(e << width * (v - 1) for v, e in mono)
+
+
+def _decode(m: int, width: int) -> Mono:
+    """The (variable, exponent) pairs of a packed monomial, lowest variable first."""
+    mask = (1 << width) - 1
     out = []
-    ia, ib = 0, 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
+    while m:
+        low = (m & -m).bit_length() - 1
+        shift = low - low % width
+        exp = (m >> shift) & mask
+        pair = (shift // width + 1, exp)
+        out.append(_PAIRS.setdefault(pair, pair))
+        m -= exp << shift
     return tuple(out)
 
 
@@ -123,15 +142,17 @@ class Poly:
     """A polynomial in Q[x1, ..., x{nvars}] with exact rational coefficients.
 
     Instances are treated as immutable: every operation returns a new Poly.
-    The ``terms`` dict is exposed for read access (contractions iterate over
-    it heavily) but must never be mutated.
+    Arithmetic works on the packed form (denominator, {packed monomial:
+    numerator}, field width, exponent bound) described in the module
+    docstring.  ``terms`` is the decoded {monomial: Fraction} view; reading
+    it swaps the packed form for the view, and the next arithmetic swaps
+    back, so one Poly never holds both.  The view must never be mutated.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_den", "_num", "_width", "_top")
 
     def __init__(self, nvars: int, terms: Mapping[Mono, Rational] | None = None):
-        if not isinstance(nvars, int) or nvars < 1:
-            raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+        _check_nvars(nvars)
         clean: dict[Mono, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
@@ -150,25 +171,53 @@ class Poly:
                 if not clean[mono]:
                     del clean[mono]
         self.nvars = nvars
-        self.terms = clean
+        self._terms = clean
+        self._num = None
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "Poly":
-        """Internal fast constructor; ``terms`` must already be canonical."""
-        p = object.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
+    def _pack(self) -> "Poly":
+        """Switch to the packed form, dropping the decoded view; returns self."""
+        if self._num is None:
+            terms = self._terms
+            den = lcm(*(c.denominator for c in terms.values()))
+            top = max((e for mono in terms for _, e in mono), default=0)
+            width = _width_for(top)
+            self._num = {
+                _encode(mono, width): c.numerator * (den // c.denominator)
+                for mono, c in terms.items()
+            }
+            self._den, self._width, self._top, self._terms = den, width, top, None
+        return self
+
+    def _num_at(self, width: int) -> dict:
+        """The packed numerators with fields ``width`` bits wide (>= own width)."""
+        if width == self._width:
+            return self._num
+        return {_encode(_decode(m, self._width), width): c for m, c in self._num.items()}
+
+    def _items(self) -> Iterable[tuple[Mono, Fraction]]:
+        """(monomial, coefficient) pairs of whichever form is held, converting nothing."""
+        if self._num is None:
+            return self._terms.items()
+        width, den = self._width, self._den
+        return ((_decode(m, width), Fraction(c, den)) for m, c in self._num.items())
+
+    @property
+    def terms(self) -> dict:
+        """The read-only {monomial: Fraction} view; replaces the packed form."""
+        if self._terms is None:
+            self._terms = dict(self._items())
+            self._num = None
+        return self._terms
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls.constant(0, nvars)
 
     @classmethod
     def constant(cls, value: Rational, nvars: int) -> "Poly":
-        return cls(nvars, {(): value})
+        return _scalar(value, _check_nvars(nvars))
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Poly":
@@ -179,30 +228,27 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._num is None else self._num)
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        num = self._pack()._num
+        return not num or (len(num) == 1 and 0 in num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
-        if not self.terms:
-            return Fraction(0)
         if self.is_constant:
-            return self.terms[()]
+            return Fraction(self._num.get(0, 0), self._den)
         raise ValueError(f"polynomial {self} is not constant")
 
     @property
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max((_mono_degree(m) for m, _ in self._items()), default=0)
 
     def sorted_terms(self) -> list:
         """(monomial, coefficient) pairs in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: _GRLEX_KEY(kv[0]), reverse=True)
+        return sorted(self._items(), key=lambda kv: _GRLEX_KEY(kv[0]), reverse=True)
 
     # ----- ring operations ----------------------------------------------
 
@@ -214,59 +260,41 @@ class Poly:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.constant(other, self.nvars)
+            return _scalar(other, self.nvars)
         return None
 
-    def __add__(self, other) -> "Poly":
+    def _combine(self, other, sign: int) -> "Poly":
+        """self + sign * other, as one call into the kernel."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in o.terms.items():
-            s = terms.get(mono, _ZERO) + c
-            if s:
-                terms[mono] = s
-            elif mono in terms:
-                del terms[mono]
-        return Poly._raw(self.nvars, terms)
+        nv = self.nvars
+        one = _from_packed(nv, 1, {0: 1}, _WIDTH, 0)
+        signed = _from_packed(nv, 1, {0: sign}, _WIDTH, 0)
+        return _sum_of_products(((self, one), (o, signed)), nv)
+
+    def __add__(self, other) -> "Poly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self)._combine(other, 1)
+
+    def __neg__(self) -> "Poly":
+        p = self._pack()
+        return _from_packed(
+            p.nvars, p._den, {m: -c for m, c in p._num.items()}, p._width, p._top
+        )
 
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
-            return Poly._raw(self.nvars, {})
-        acc: dict[Mono, Fraction] = {}
-        a, b = self.terms, o.terms
-        if len(a) > len(b):
-            a, b = b, a
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                prev = acc.get(m)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s:
-                    acc[m] = s
-                elif prev is not None:
-                    del acc[m]
-        return Poly._raw(self.nvars, acc)
+        return _sum_of_products(((self, o),), self.nvars)
 
     __rmul__ = __mul__
 
@@ -284,14 +312,15 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            o = Fraction(other)
-            if not o:
-                return not self.terms
-            return self.terms == {(): o}
-        return NotImplemented
+            other = _scalar(other, self.nvars)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if self.nvars != other.nvars:
+            return False
+        a, b = self._pack(), other._pack()
+        width = max(a._width, b._width)
+        return a._den == b._den and a._num_at(width) == b._num_at(width)
 
     __hash__ = None  # mutable-dict backed; polynomials are not hashable
 
@@ -301,19 +330,15 @@ class Poly:
         """Partial derivative with respect to x{var} (1-based)."""
         if not (1 <= var <= self.nvars):
             raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
-        terms: dict[Mono, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                if v == var:
-                    if e == 1:
-                        new = mono[:pos] + mono[pos + 1:]
-                    else:
-                        new = mono[:pos] + ((v, e - 1),) + mono[pos + 1:]
-                    terms[new] = terms.get(new, _ZERO) + coeff * e
-                    if not terms[new]:
-                        del terms[new]
-                    break
-        return Poly._raw(self.nvars, terms)
+        p = self._pack()
+        shift, mask = p._width * (var - 1), (1 << p._width) - 1
+        unit = 1 << shift
+        num = {}
+        for m, c in p._num.items():
+            e = (m >> shift) & mask
+            if e:
+                num[m - unit] = c * e
+        return _reduced(p.nvars, p._den, num, p._width, p._top)
 
     def __call__(self, point: Sequence[Rational]) -> Fraction:
         """Evaluate at a rational point; ``point`` must list all nvars values."""
@@ -321,7 +346,7 @@ class Poly:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
         vals = [Fraction(v) for v in point]
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._items():
             term = coeff
             for var, exp in mono:
                 term *= vals[var - 1] ** exp
@@ -330,29 +355,28 @@ class Poly:
 
     def set_vars(self, values: Mapping[int, Rational]) -> "Poly":
         """Substitute constants for some variables, leaving the rest intact."""
-        vals = {}
+        p = self._pack()
+        width, top = p._width, p._top
+        mask = (1 << width) - 1
+        den = p._den
+        fixed = []
         for var, value in values.items():
             if not (1 <= var <= self.nvars):
                 raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
-            vals[var] = Fraction(value)
-        terms: dict[Mono, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            kept = []
-            c = coeff
-            for var, exp in mono:
-                if var in vals:
-                    c *= vals[var] ** exp
-                    if not c:
-                        break
-                else:
-                    kept.append((var, exp))
-            if not c:
-                continue
-            key = tuple(kept)
-            terms[key] = terms.get(key, _ZERO) + c
-            if not terms[key]:
-                del terms[key]
-        return Poly._raw(self.nvars, terms)
+            value = Fraction(value)
+            # value = a/b: a term with x{var}^e gains a^e * b^(top - e) / b^top,
+            # so every coefficient stays an integer over den * b^top.
+            fixed.append((width * (var - 1), value.numerator, value.denominator))
+            den *= value.denominator ** top
+        num: dict[int, int] = {}
+        for m, c in p._num.items():
+            for shift, a, b in fixed:
+                e = (m >> shift) & mask
+                c *= a ** e if b == 1 else a ** e * b ** (top - e)
+                m -= e << shift
+            if c:
+                num[m] = num.get(m, 0) + c
+        return _reduced(self.nvars, den, num, width, top)
 
     def substitute(self, images: Mapping[int, "Poly"]) -> "Poly":
         """Substitute polynomials for variables.
@@ -369,9 +393,9 @@ class Poly:
                 raise ValueError("substitution images live in different rings")
             if not (1 <= var <= self.nvars):
                 raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
-        result = Poly.zero(target)
-        for mono, coeff in self.terms.items():
-            term = Poly.constant(coeff, target)
+        pairs = []
+        for mono, coeff in self._items():
+            term = Poly.constant(1, target)
             for var, exp in mono:
                 if var in images:
                     term = term * images[var] ** exp
@@ -381,19 +405,21 @@ class Poly:
                             f"variable x{var} has no image and exceeds the target ring"
                         )
                     term = term * Poly.variable(var, target) ** exp
-            result = result + term
-        return result
+            pairs.append((_scalar(coeff, target), term))
+        return _sum_of_products(pairs, target)
 
     def with_nvars(self, nvars: int) -> "Poly":
         """Reinterpret in Q[x1..x{nvars}]; shrinking checks no variable is lost."""
-        if nvars < self.nvars:
-            for mono in self.terms:
-                for var, _ in mono:
-                    if var > nvars:
-                        raise ValueError(
-                            f"cannot restrict to {nvars} variables: term uses x{var}"
-                        )
-        return Poly._raw(nvars, dict(self.terms))
+        p = self._pack()
+        if nvars < p.nvars:
+            limit = p._width * nvars
+            for m in p._num:
+                if m >> limit:
+                    var = _decode(m >> limit, p._width)[0][0] + nvars
+                    raise ValueError(
+                        f"cannot restrict to {nvars} variables: term uses x{var}"
+                    )
+        return _from_packed(nvars, p._den, p._num, p._width, p._top)
 
     # ----- printing and parsing -------------------------------------------
 
@@ -415,7 +441,39 @@ class Poly:
         return _Parser(text, nvars).run()
 
 
-_ZERO = Fraction(0)
+def _from_packed(nvars: int, den: int, num: dict, width: int, top: int) -> Poly:
+    """A Poly from a packed form that is already canonical."""
+    p = object.__new__(Poly)
+    p.nvars, p._terms = nvars, None
+    p._den, p._num, p._width, p._top = den, num, width, top
+    return p
+
+
+def _reduced(nvars: int, den: int, num: dict, width: int, top: int) -> Poly:
+    """A Poly from ``num``, after dropping its zero numerators and dividing
+    out gcd(den, *numerators) in place."""
+    for m in [m for m, c in num.items() if not c]:
+        del num[m]
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            for m in num:
+                num[m] //= g
+    return _from_packed(nvars, den, num, width, top)
+
+
+def _check_nvars(nvars) -> int:
+    if not isinstance(nvars, int) or nvars < 1:
+        raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+    return nvars
+
+
+def _scalar(value: Rational, nvars: int) -> Poly:
+    """The constant ``value`` in packed form (``nvars`` is taken as valid)."""
+    c = Fraction(value)
+    return _from_packed(nvars, c.denominator, {0: c.numerator} if c else {}, _WIDTH, 0)
+
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<op>\*\*|[+\-*/^()])")
 
@@ -533,33 +591,66 @@ class _Parser:
         raise PolyParseError(f"unexpected {text!r}", pos)
 
 
+
 def sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nvars: int) -> Poly:
     """Exact sum of pairwise products, accumulated in a single dict.
 
-    This is the workhorse of all tensor contractions: computing
-    sum_i p_i * q_i through repeated Poly.__add__ would rebuild the
-    accumulator dict per summand, while here every partial product lands
-    directly in one shared accumulator.
+    This is the workhorse of all tensor contractions: every partial product
+    of sum_i p_i * q_i lands directly in one shared accumulator of integer
+    numerators over the least common denominator of the pairs, and the
+    result is normalised once.
     """
-    acc: dict[Mono, Fraction] = {}
+    return _sum_of_products(pairs, nvars)
+
+
+def _sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nvars: int) -> Poly:
+    """The kernel behind ``sum_of_products`` and Poly's ring operations.
+
+    The operators call it under this name, so that a profile tells their
+    products apart from the contractions' sums.
+    """
+    ops = []
+    den, width, top = 1, _WIDTH, 0
     for p, q in pairs:
         if p.nvars != nvars or q.nvars != nvars:
             raise ValueError("sum_of_products operands live in different rings")
-        a, b = p.terms, q.terms
-        if not a or not b:
-            continue
+        a = p._num
+        if a is None:
+            a = p._pack()._num
+        b = q._num
+        if b is None:
+            b = q._pack()._num
+        if a and b:
+            d = p._den * q._den
+            if den % d:
+                den = lcm(den, d)
+            if p._top + q._top > top:
+                top = p._top + q._top
+            if p._width != width or q._width != width:
+                width = max(width, p._width, q._width)
+            ops.append((p, q, d))
+    if not ops:
+        return _from_packed(nvars, 1, {}, _WIDTH, 0)
+    # A product's exponents are at most top, so no field can overflow into
+    # the next one at this width.
+    if top >> width:
+        width = _width_for(top, width)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for p, q, d in ops:
+        a = p._num if p._width == width else p._num_at(width)
+        b = q._num if q._width == width else q._num_at(width)
         if len(a) > len(b):
             a, b = b, a
+        scale = den // d
         for m1, c1 in a.items():
+            c1 *= scale
             for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                prev = acc.get(m)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s:
-                    acc[m] = s
-                elif prev is not None:
-                    del acc[m]
-    return Poly._raw(nvars, acc)
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    return _reduced(nvars, den, acc, width, top)
+
+
 
 
 # ---------------------------------------------------------------------------

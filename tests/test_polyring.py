@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from haantjes.polyring import Poly, PolyParseError, RationalMatrix
+from haantjes.polyring import Poly, PolyParseError, RationalMatrix, sum_of_products
 
 from conftest import random_poly
 
@@ -310,3 +310,191 @@ def test_inverse_of_singular_matrix_is_rejected():
 def test_matrix_vector_product():
     m = RationalMatrix([[1, 2], [3, 4]])
     assert m.mul_vector((Fraction(1), Fraction(-1))) == (Fraction(-1), Fraction(-1))
+
+
+# ----- the integer kernel against the tuple/Fraction reference ----------------
+#
+# ``_sum_of_products_reference`` is the loop the kernel replaced: monomials as
+# sorted (variable, exponent) tuples merged pair by pair, coefficients as
+# Fractions.  The kernel must agree with it term for term.
+
+
+def _mono_mul(a, b):
+    """Merge two sorted (variable, exponent) tuples, adding exponents."""
+    out = dict(a)
+    for var, exp in b:
+        out[var] = out.get(var, 0) + exp
+    return tuple(sorted(out.items()))
+
+
+def _sum_of_products_reference(pairs):
+    acc = {}
+    for p, q in pairs:
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = _mono_mul(m1, m2)
+                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def _diff_reference(terms, var):
+    out = {}
+    for mono, c in terms.items():
+        exps = dict(mono)
+        e = exps.pop(var, 0)
+        if e > 1:
+            exps[var] = e - 1
+        if e:
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def _set_vars_reference(terms, values):
+    out = {}
+    for mono, c in terms.items():
+        kept = []
+        for var, exp in mono:
+            if var in values:
+                c *= Fraction(values[var]) ** exp
+            else:
+                kept.append((var, exp))
+        out[tuple(kept)] = out.get(tuple(kept), Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+MIXED = (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(5, 6), Fraction(-7, 9),
+         Fraction(2), Fraction(-1), Fraction(1, 8))
+
+
+def _random_rational_poly(rng, variables, nvars, max_degree=3, max_terms=4):
+    """A sparse polynomial over ``variables`` with mixed-denominator coefficients,
+    built by ring arithmetic so that it starts out in the packed form."""
+    p = Poly.zero(nvars)
+    for _ in range(rng.randint(0, max_terms)):
+        term = Poly.constant(rng.choice(MIXED), nvars)
+        for _ in range(rng.randint(0, max_degree)):
+            term = term * Poly.variable(rng.choice(variables), nvars)
+        p = p + term
+    return p
+
+
+def _check_kernel(pairs, nvars):
+    result = sum_of_products(pairs, nvars)
+    expected = _sum_of_products_reference(pairs)
+    assert result.terms == expected
+    assert result == Poly(nvars, expected)
+    assert str(result) == str(Poly(nvars, expected))
+    if expected:
+        assert result != Poly(nvars, {m: c / 2 for m, c in expected.items()})
+    return result, expected
+
+
+def test_kernel_matches_the_reference_on_mixed_denominators():
+    rng = random.Random(23)
+    variables = (1, 2, 3, 4)
+    for _ in range(60):
+        pairs = [(_random_rational_poly(rng, variables, 4), _random_rational_poly(rng, variables, 4))
+                 for _ in range(rng.randint(0, 6))]
+        _check_kernel(pairs, 4)
+
+
+def test_kernel_cancels_to_zero_exactly():
+    rng = random.Random(29)
+    for _ in range(20):
+        p = _random_rational_poly(rng, (1, 2, 3), 3)
+        q = _random_rational_poly(rng, (1, 2, 3), 3)
+        half = Fraction(1, 2)
+        for pairs in ([(p, q), (-p, q)], [(p * half, q), (p, q * -half)],
+                      [(p, q), (q, p), (-2 * q, p)]):
+            result = sum_of_products(pairs, 3)
+            assert result.is_zero and result == 0 and result == Poly.zero(3)
+            assert str(result) == "0"
+            assert result.terms == {}
+            assert result.total_degree == 0 and result.constant_value() == 0
+
+
+def test_kernel_matches_the_reference_in_the_wide_linearizer_ring():
+    # n + n^3 + n = 135 variables at n = 5; x130 is the last coefficient a^5_{5;5}.
+    rng = random.Random(31)
+    nvars = 135
+    variables = (1, 2, 3, 4, 5, 64, 127, 128, 129, 130)
+    for _ in range(30):
+        pairs = [(_random_rational_poly(rng, variables, nvars, max_degree=2),
+                  _random_rational_poly(rng, variables, nvars, max_degree=2))
+                 for _ in range(rng.randint(1, 5))]
+        result, expected = _check_kernel(pairs, nvars)
+        assert result.with_nvars(130) == Poly(130, expected)
+    corner = Poly.variable(130, nvars) * Poly.variable(1, nvars) ** 2
+    assert str(corner) == "x1^2*x130"
+    with pytest.raises(ValueError, match="term uses x130"):
+        corner.with_nvars(129)
+
+
+def test_kernel_results_stay_usable_after_terms_is_read():
+    rng = random.Random(37)
+    for _ in range(30):
+        nvars = rng.choice((3, 130))
+        variables = (1, 2, 3) if nvars == 3 else (1, 2, 3, 129, 130)
+        pairs = [(_random_rational_poly(rng, variables, nvars),
+                  _random_rational_poly(rng, variables, nvars)) for _ in range(3)]
+        result = sum_of_products(pairs, nvars)
+        terms = dict(result.terms)  # decodes the result
+        var = rng.choice(variables)
+        assert result.diff(var).terms == _diff_reference(terms, var)
+        values = {v: rng.choice(MIXED + (0,)) for v in rng.sample(variables, 2)}
+        assert result.set_vars(values).terms == _set_vars_reference(terms, values)
+        assert str(result) == str(Poly(nvars, terms))
+        assert result == Poly(nvars, terms) and Poly(nvars, terms) == result
+        other = _random_rational_poly(rng, variables, nvars)
+        again = sum_of_products([(result, other), (other, result)], nvars)
+        assert again.terms == _sum_of_products_reference([(result, other), (other, result)])
+        assert result.terms == terms  # the operands were not changed
+
+
+def test_a_poly_holds_one_representation_at_a_time():
+    p = Poly.parse("1/2*x1^2*x3 - x2 + 3", 3)
+    assert p._num is not None and p._terms is None
+    view = p.terms
+    assert p._num is None and view is p.terms
+    q = p * p
+    assert p._terms is None and q._terms is None
+    # decoded (variable, exponent) pairs are interned: both views share one (2, 2)
+    a, b = Poly.parse("x1*x2^2 + x3", 3).terms, Poly.parse("x2^2 - x1", 3).terms
+    assert a[((1, 1), (2, 2))] == 1 and b[((2, 2),)] == 1
+    assert next(iter(m for m in a if len(m) == 2))[1] is next(iter(m for m in b if m == ((2, 2),)))[0]
+
+
+def test_exponent_fields_widen_instead_of_wrapping():
+    for e in (40000, 70000):
+        x = Poly.parse(f"x1^{e}", 2)
+        assert (x * x).terms == {((1, 2 * e),): 1}
+        assert sum_of_products([(x, x)], 2).terms == _sum_of_products_reference([(x, x)])
+    # across the narrowest field: a wrapped x1^300 would read as x1^44*x2
+    a, b = Poly.parse("x1^200*x2 + 1", 3), Poly.parse("x1^100 - x3", 3)
+    product = a * b
+    assert product.terms == _sum_of_products_reference([(a, b)])
+    assert str(product) == "x1^300*x2 - x1^200*x2*x3 + x1^100 - x3"
+    assert product.diff(1).terms == _diff_reference(product.terms, 1)
+    assert product == a * b and product - a * b == 0
+    narrow = Poly.parse("x2 + x3", 3)
+    mixed = sum_of_products([(narrow, narrow), (a, b)], 3)
+    assert mixed.terms == _sum_of_products_reference([(narrow, narrow), (a, b)])
+    assert Poly.parse("x1^255", 1) * Poly.parse("x1", 1) == Poly.parse("x1^256", 1)
+
+
+def test_kernel_matches_the_reference_on_generated_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    monomials = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 300)), max_size=3).map(
+        lambda pairs: tuple(sorted(dict(pairs).items())))
+    polys = st.dictionaries(monomials, coefficients, max_size=4).map(lambda t: Poly(4, t))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(st.tuples(polys, polys), max_size=4))
+    def check(pairs):
+        _check_kernel(pairs, 4)
+
+    check()
