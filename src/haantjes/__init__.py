@@ -24,7 +24,6 @@ from .geometry import (
     operator_to_json,
 )
 from .torsion import (
-    commuting_triangular_pair,
     fn_bracket,
     fn_bracket_level,
     fn_bracket_step,
@@ -75,7 +74,6 @@ __all__ = [
     "VectorField",
     "Verdict",
     "build_linearized",
-    "commuting_triangular_pair",
     "cond3_system",
     "contract_lower_j",
     "contract_lower_k",

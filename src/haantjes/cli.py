@@ -8,6 +8,7 @@ Exit codes follow the BSD sysexits convention where sensible:
 * 2   the verdict precondition (regularity at sample points) is violated
 * 64  usage errors (bad flags, bad dimensions, malformed points)
 * 65  data errors (unreadable files, malformed operator documents)
+* 141 the reader of stdout went away (128 + SIGPIPE), as in ``| head -1``
 
 All output is deterministic: the same invocation prints the same bytes.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -40,6 +42,7 @@ from .torsion import fn_bracket_level, tensor_t, torsion_level
 EX_OK = 0
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 class UsageError(Exception):
@@ -378,13 +381,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise UsageError("haantjes: a command is required (see --help)")
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return status
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EX_USAGE
     except DataError as exc:
         print(str(exc), file=sys.stderr)
         return EX_DATAERR
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -7,6 +7,10 @@ any extra variables act as formal parameters (the linearizer uses this to
 carry unknown coefficients through the torsion calculus).  Differentiation
 only ever touches the coordinate block x1..x{dim}.
 
+Tensors are built by ``contract``, never evaluated on vector fields;
+``VectorField`` and ``lie_bracket`` serve the image distributions of
+``structure``, and a field is its tuple of components, without arithmetic.
+
 Index conventions: raw component containers are plain 0-based Python
 sequences, while the ``component``/``entry`` accessors take 1-based indices
 matching the coordinate names, so ``L.entry(1, 2)`` is the coefficient of
@@ -66,21 +70,6 @@ class VectorField:
         self.nvars = nvars
         self.components = tuple(_as_poly(c, nvars) for c in comps)
 
-    @classmethod
-    def zero(cls, dim: int, nvars: int | None = None) -> "VectorField":
-        nv = nvars or dim
-        return cls([Poly.zero(nv)] * dim, nvars=nv, dim=dim)
-
-    @classmethod
-    def basis(cls, index: int, dim: int, nvars: int | None = None) -> "VectorField":
-        """The coordinate field d/dx{index} (1-based)."""
-        if not (1 <= index <= dim):
-            raise ValueError(f"basis index {index} out of range 1..{dim}")
-        nv = nvars or dim
-        comps = [Poly.zero(nv)] * dim
-        comps[index - 1] = Poly.constant(1, nv)
-        return cls(comps, nvars=nv, dim=dim)
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
@@ -90,29 +79,6 @@ class VectorField:
         if not (1 <= i <= self.dim):
             raise ValueError(f"component index {i} out of range 1..{self.dim}")
         return self.components[i - 1]
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        self._check_compatible(other)
-        return VectorField(
-            [a + b for a, b in zip(self.components, other.components)],
-            nvars=self.nvars, dim=self.dim,
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        self._check_compatible(other)
-        return VectorField(
-            [a - b for a, b in zip(self.components, other.components)],
-            nvars=self.nvars, dim=self.dim,
-        )
-
-    def __neg__(self) -> "VectorField":
-        return VectorField([-c for c in self.components], nvars=self.nvars, dim=self.dim)
-
-    def __mul__(self, factor) -> "VectorField":
-        f = _as_poly(factor, self.nvars)
-        return VectorField([f * c for c in self.components], nvars=self.nvars, dim=self.dim)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
@@ -127,11 +93,6 @@ class VectorField:
 
     def evaluate(self, point: Sequence[Rational]) -> tuple[Fraction, ...]:
         return tuple(c(point) for c in self.components)
-
-    def set_vars(self, values: Mapping[int, Rational]) -> "VectorField":
-        return VectorField(
-            [c.set_vars(values) for c in self.components], nvars=self.nvars, dim=self.dim
-        )
 
     def __str__(self) -> str:
         parts = []
@@ -308,21 +269,6 @@ class OperatorField:
             k >>= 1
         return result
 
-    def apply(self, xi: VectorField) -> VectorField:
-        """The image vector field (L xi)^i = L^i_j xi^j."""
-        if xi.dim != self.dim or xi.nvars != self.nvars:
-            raise ValueError("operator and vector field live on different spaces")
-        n, nv = self.dim, self.nvars
-        return VectorField(
-            [
-                sum_of_products(
-                    ((self.entries[i][j], xi.components[j]) for j in range(n)), nv
-                )
-                for i in range(n)
-            ],
-            nvars=nv, dim=n,
-        )
-
     def trace(self) -> Poly:
         total = Poly.zero(self.nvars)
         for i in range(self.dim):
@@ -370,6 +316,8 @@ class Tensor12:
     Components are stored as a dim x dim x dim nested tuple indexed
     [i-1][j-1][k-1]; ``component(i, j, k)`` reads 1-based.  Torsions are
     antisymmetric in (j, k), but the container itself does not assume it.
+    A tensor has no arithmetic: a signed sum of contractions is one
+    ``contract`` call.
     """
 
     __slots__ = ("dim", "nvars", "comps")
@@ -423,72 +371,6 @@ class Tensor12:
         return (self.dim, self.nvars, self.comps) == (other.dim, other.nvars, other.comps)
 
     __hash__ = None
-
-    def _check_compatible(self, other: "Tensor12") -> None:
-        if self.dim != other.dim or self.nvars != other.nvars:
-            raise ValueError("tensors live on different spaces")
-
-    def __add__(self, other: "Tensor12") -> "Tensor12":
-        self._check_compatible(other)
-        return Tensor12(
-            [
-                [
-                    [a + b for a, b in zip(c1, c2)]
-                    for c1, c2 in zip(p1, p2)
-                ]
-                for p1, p2 in zip(self.comps, other.comps)
-            ],
-            nvars=self.nvars,
-        )
-
-    def __sub__(self, other: "Tensor12") -> "Tensor12":
-        self._check_compatible(other)
-        return Tensor12(
-            [
-                [
-                    [a - b for a, b in zip(c1, c2)]
-                    for c1, c2 in zip(p1, p2)
-                ]
-                for p1, p2 in zip(self.comps, other.comps)
-            ],
-            nvars=self.nvars,
-        )
-
-    def __neg__(self) -> "Tensor12":
-        return Tensor12(
-            [[[-c for c in col] for col in p] for p in self.comps], nvars=self.nvars
-        )
-
-    def __mul__(self, factor) -> "Tensor12":
-        f = _as_poly(factor, self.nvars)
-        return Tensor12(
-            [[[f * c for c in col] for col in p] for p in self.comps], nvars=self.nvars
-        )
-
-    __rmul__ = __mul__
-
-    def apply(self, xi: VectorField, eta: VectorField) -> VectorField:
-        """The vector field S(xi, eta)^i = S^i_{jk} xi^j eta^k."""
-        if xi.dim != self.dim or xi.nvars != self.nvars:
-            raise ValueError("tensor and vector field live on different spaces")
-        xi._check_compatible(eta)
-        n, nv = self.dim, self.nvars
-        products = [
-            [
-                sum_of_products(
-                    ((self.comps[i][j][k], eta.components[k]) for k in range(n)), nv
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return VectorField(
-            [
-                sum_of_products(((products[i][j], xi.components[j]) for j in range(n)), nv)
-                for i in range(n)
-            ],
-            nvars=nv, dim=n,
-        )
 
     def set_vars(self, values: Mapping[int, Rational]) -> "Tensor12":
         return Tensor12(

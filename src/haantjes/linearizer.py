@@ -193,6 +193,7 @@ class LinearSystemQ:
         ]
 
     def to_dict(self) -> dict:
+        names = self.unknowns
         return {
             "dim": self.dim,
             "include_eigenvalue": self.include_eigenvalue,
@@ -200,11 +201,7 @@ class LinearSystemQ:
             "rows": [
                 {
                     "label": label,
-                    "coefficients": {
-                        name: str(c)
-                        for name, c in zip(self.unknowns, row)
-                        if c
-                    },
+                    "coefficients": {name: str(c) for name, c in zip(names, row) if c},
                 }
                 for label, row in zip(self.labels, self.matrix.rows)
             ],
@@ -259,12 +256,13 @@ def extract_system(S: Tensor12) -> LinearSystemQ:
     """The linear system { S^i_{jk}(0) = 0 } in the unknown coefficients,
     one row per component with a nonzero linear form."""
     n = S.dim
-    for include_eigenvalue in (False, True):
-        if S.nvars == n + len(_unknown_columns(n, include_eigenvalue)):
+    counts = {eig: len(_unknown_columns(n, eig)) for eig in (False, True)}
+    for include_eigenvalue, count in counts.items():
+        if S.nvars == n + count:
             return LinearSystemQ._from_forms(n, include_eigenvalue, _linear_forms(S))
     raise ValueError(
-        f"tensor has {S.nvars - n} non-coordinate variables, expected {n ** 3} "
-        f"or {n ** 3 + n}; not a linearized family tensor"
+        f"tensor has {S.nvars - n} non-coordinate variables, expected {counts[False]} "
+        f"or {counts[True]}; not a linearized family tensor"
     )
 
 
@@ -347,11 +345,6 @@ class Candidate:
         if u:
             T = contract_upper(traceless.power(u), T)
         return T
-
-    def apply(self, L: OperatorField) -> Tensor12:
-        """Evaluate the candidate on an arbitrary operator field."""
-        base = nijenhuis(L) if self.base == "nijenhuis" else torsion_level(L, 2)
-        return self.build(base, L.traceless_part())
 
 
 def default_candidates() -> tuple[Candidate, ...]:

@@ -24,8 +24,6 @@ parameter variables beyond the coordinate block stay symbolic.
 
 from __future__ import annotations
 
-import random
-
 from .geometry import (
     LOWER_J,
     LOWER_K,
@@ -38,7 +36,6 @@ from .geometry import (
     contract_lower_k,
     contract_upper,
 )
-from .polyring import Poly
 
 
 def _at(field, at):
@@ -197,60 +194,3 @@ def tensor_t(L: OperatorField, force: bool = False, at=None) -> Tensor12:
         )
     return obstruction(torsion_level(L, 2, at=at), _at(L, at).traceless_part())
 
-
-# ----- random commuting pairs for the bracket test-bed -----------------------
-
-
-def _random_poly(rng: random.Random, nvars: int, degree: int, nonzero: bool = True) -> Poly:
-    """A small random polynomial with integer coefficients in [-4, 4]."""
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            d = rng.randint(0, degree)
-            exps = [0] * nvars
-            for _ in range(d):
-                exps[rng.randrange(nvars)] += 1
-            mono = tuple((v + 1, e) for v, e in enumerate(exps) if e)
-            coeff = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-            terms[mono] = terms.get(mono, 0) + coeff
-        p = Poly(nvars, terms)
-        if not (nonzero and p.is_zero):
-            return p
-
-
-def commuting_triangular_pair(
-    n: int, seed: int, degree: int = 2
-) -> tuple[OperatorField, OperatorField]:
-    """A deterministic pair of commuting strictly upper triangular fields.
-
-    Both operators are polynomial series p_1 N + p_2 N^2 + ... in one shared
-    strictly upper triangular nilpotent N with scalar polynomial
-    coefficients, so they commute pointwise by construction and every entry
-    has total degree at most ``degree``.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    if not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
-    rng = random.Random(seed)
-    entry_degree = 1 if degree >= 1 else 0
-    rows = [[Poly.zero(n)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = _random_poly(rng, n, entry_degree)
-    N = OperatorField(rows, nvars=n)
-
-    def series() -> OperatorField:
-        # The (1,2)-entry is p_1 * N[1][2] with both factors nonzero, so the
-        # result is never the zero operator.
-        total = OperatorField.zero(n, n)
-        power = OperatorField.identity(n, n)
-        for i in range(1, n):
-            power = power.compose(N)
-            coeff_degree = degree - i * entry_degree
-            if coeff_degree < 0:
-                break
-            total = total + power * _random_poly(rng, n, coeff_degree)
-        return total
-
-    return series(), series()

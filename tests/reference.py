@@ -1,0 +1,190 @@
+"""Direct oracles: each tensor from its defining identity on coordinate fields,
+with ``lie_bracket`` and a few plain helpers over ``VectorField.components``
+and ``sum_of_products``, where the library contracts the 1-jet instead.
+``commuting_triangular_pair`` seeds the bracket test-bed of criterion 8.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import chain
+
+from haantjes.geometry import OperatorField, Tensor12, VectorField, lie_bracket
+from haantjes.polyring import Poly, sum_of_products
+from haantjes.torsion import torsion_level
+
+
+def basis_field(index: int, dim: int, nvars: int | None = None) -> VectorField:
+    """The coordinate field d/dx{index} (1-based)."""
+    return VectorField([int(i == index) for i in range(1, dim + 1)], nvars=nvars or dim, dim=dim)
+
+
+def apply_operator(A: OperatorField, xi: VectorField) -> VectorField:
+    """(A xi)^i = A^i_j xi^j."""
+    if (xi.dim, xi.nvars) != (A.dim, A.nvars):
+        raise ValueError("operator and field live on different spaces")
+    comps = [sum_of_products(zip(row, xi.components), A.nvars) for row in A.entries]
+    return VectorField(comps, nvars=A.nvars, dim=A.dim)
+
+
+def apply_tensor(S: Tensor12, xi: VectorField, eta: VectorField) -> VectorField:
+    """S(xi, eta)^i = S^i_{jk} xi^j eta^k."""
+    if not (xi.dim, xi.nvars) == (eta.dim, eta.nvars) == (S.dim, S.nvars):
+        raise ValueError("tensor and fields live on different spaces")
+    products = [x * y for x in xi.components for y in eta.components]  # (j, k) row-major
+    comps = [sum_of_products(zip(chain(*plane), products), S.nvars) for plane in S.comps]
+    return VectorField(comps, nvars=S.nvars, dim=S.dim)
+
+
+def combine(*terms):
+    """sum_m c_m X_m over pairs (c_m, X_m): a rational and a vector field or a
+    (1,2)-tensor, all on one space."""
+    first = terms[0][1]
+    n, nv, r = first.dim, first.nvars, range(first.dim)
+    if any((type(X), X.dim, X.nvars) != (type(first), n, nv) for _, X in terms):
+        raise ValueError("terms live on different spaces")
+    coefficients = [Poly.constant(c, nv) for c, _ in terms]
+
+    def total(parts):
+        return sum_of_products(zip(coefficients, parts), nv)
+
+    if isinstance(first, VectorField):
+        return VectorField([total(X.components[i] for _, X in terms) for i in r], nvars=nv, dim=n)
+    return Tensor12(
+        [[[total(X.comps[i][j][k] for _, X in terms) for k in r] for j in r] for i in r], nvars=nv
+    )
+
+
+def tensor_on_basis(dim: int, nvars: int, value) -> Tensor12:
+    """The (1,2)-tensor S with S(d/dx_j, d/dx_k) = value(d/dx_j, d/dx_k)."""
+    basis = [basis_field(j, dim, nvars) for j in range(1, dim + 1)]
+    fields = [[value(ej, ek).components for ek in basis] for ej in basis]
+    r = range(dim)
+    return Tensor12([[[fields[j][k][i] for k in r] for j in r] for i in r], nvars=nvars)
+
+
+def nijenhuis_direct(L: OperatorField) -> Tensor12:
+    """T(xi, eta) = L^2 [xi, eta] + [L xi, L eta] - L [L xi, eta] - L [xi, L eta]."""
+    l2 = L.power(2)
+
+    def value(xi, eta):
+        lxi, leta = apply_operator(L, xi), apply_operator(L, eta)
+        return combine(
+            (1, apply_operator(l2, lie_bracket(xi, eta))),
+            (1, lie_bracket(lxi, leta)),
+            (-1, apply_operator(L, lie_bracket(lxi, eta))),
+            (-1, apply_operator(L, lie_bracket(xi, leta))),
+        )
+
+    return tensor_on_basis(L.dim, L.nvars, value)
+
+
+def fn_bracket_direct(K: OperatorField, L: OperatorField) -> Tensor12:
+    """[[K, L]](xi, eta) = [K xi, L eta] + [L xi, K eta] + (K L + L K) [xi, eta]
+                          - K([L xi, eta] + [xi, L eta]) - L([K xi, eta] + [xi, K eta])."""
+    kl_lk = K.compose(L) + L.compose(K)
+
+    def value(xi, eta):
+        kxi, keta = apply_operator(K, xi), apply_operator(K, eta)
+        lxi, leta = apply_operator(L, xi), apply_operator(L, eta)
+        return combine(
+            (1, lie_bracket(kxi, leta)),
+            (1, lie_bracket(lxi, keta)),
+            (1, apply_operator(kl_lk, lie_bracket(xi, eta))),
+            (-1, apply_operator(K, lie_bracket(lxi, eta))),
+            (-1, apply_operator(K, lie_bracket(xi, leta))),
+            (-1, apply_operator(L, lie_bracket(kxi, eta))),
+            (-1, apply_operator(L, lie_bracket(xi, keta))),
+        )
+
+    return tensor_on_basis(K.dim, K.nvars, value)
+
+
+def level_step_direct(T: Tensor12, L: OperatorField) -> Tensor12:
+    """T'(xi, eta) = L^2 T(xi, eta) + T(L xi, L eta) - L T(L xi, eta) - L T(xi, L eta)."""
+    l2 = L.power(2)
+
+    def value(xi, eta):
+        lxi, leta = apply_operator(L, xi), apply_operator(L, eta)
+        return combine(
+            (1, apply_operator(l2, apply_tensor(T, xi, eta))),
+            (1, apply_tensor(T, lxi, leta)),
+            (-1, apply_operator(L, apply_tensor(T, lxi, eta))),
+            (-1, apply_operator(L, apply_tensor(T, xi, leta))),
+        )
+
+    return tensor_on_basis(L.dim, L.nvars, value)
+
+
+def tensor_t_direct(L: OperatorField) -> Tensor12:
+    """T(xi, eta) = M H(M xi, eta) - M H(xi, M eta) + H(M^2 xi, eta), with M
+    the traceless part of L and H the level-2 torsion."""
+    m, h = L.traceless_part(), torsion_level(L, 2)
+    m2 = m.power(2)
+
+    def value(xi, eta):
+        return combine(
+            (1, apply_operator(m, apply_tensor(h, apply_operator(m, xi), eta))),
+            (-1, apply_operator(m, apply_tensor(h, xi, apply_operator(m, eta)))),
+            (1, apply_tensor(h, apply_operator(m2, xi), eta)),
+        )
+
+    return tensor_on_basis(L.dim, L.nvars, value)
+
+
+# ----- random commuting pairs for the bracket test-bed -----------------------
+
+
+def _random_poly(rng: random.Random, nvars: int, degree: int, nonzero: bool = True) -> Poly:
+    """A small random polynomial with integer coefficients in [-4, 4]."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(0, degree)
+            exps = [0] * nvars
+            for _ in range(d):
+                exps[rng.randrange(nvars)] += 1
+            mono = tuple((v + 1, e) for v, e in enumerate(exps) if e)
+            coeff = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+            terms[mono] = terms.get(mono, 0) + coeff
+        p = Poly(nvars, terms)
+        if not (nonzero and p.is_zero):
+            return p
+
+
+def commuting_triangular_pair(
+    n: int, seed: int, degree: int = 2
+) -> tuple[OperatorField, OperatorField]:
+    """A deterministic pair of commuting strictly upper triangular fields.
+
+    Both operators are polynomial series p_1 N + p_2 N^2 + ... in one shared
+    strictly upper triangular nilpotent N with scalar polynomial
+    coefficients, so they commute pointwise by construction and every entry
+    has total degree at most ``degree``.
+    """
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    if not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+    rng = random.Random(seed)
+    entry_degree = 1 if degree >= 1 else 0
+    rows = [[Poly.zero(n)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = _random_poly(rng, n, entry_degree)
+    N = OperatorField(rows, nvars=n)
+
+    def series() -> OperatorField:
+        # The (1,2)-entry is p_1 * N[1][2] with both factors nonzero, so the
+        # result is never the zero operator.
+        total = OperatorField.zero(n, n)
+        power = OperatorField.identity(n, n)
+        for i in range(1, n):
+            power = power.compose(N)
+            coeff_degree = degree - i * entry_degree
+            if coeff_degree < 0:
+                break
+            total = total + power * _random_poly(rng, n, coeff_degree)
+        return total
+
+    return series(), series()

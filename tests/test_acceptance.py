@@ -32,7 +32,6 @@ from haantjes.structure import (
     verdict,
 )
 from haantjes.torsion import (
-    commuting_triangular_pair,
     fn_bracket_level,
     nijenhuis,
     tensor_t,
@@ -45,6 +44,7 @@ from conftest import (
     random_poly,
     random_sparse_affine_change,
 )
+from reference import commuting_triangular_pair
 
 
 def _report(capsys, number: int, description: str, checks: dict[str, bool]) -> None:

@@ -6,10 +6,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import haantjes
 from haantjes.cli import main
 
 from conftest import OPERATORS
@@ -283,6 +287,26 @@ def test_unknown_command_is_a_usage_error(capsys):
 
 
 # ----- golden outputs -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(unbuffered):
+    """``haantjes torsion ex3.json --level 3 | head -1``, with the reader gone
+    before the command writes: nothing on stderr, exit 128 + SIGPIPE.  A
+    buffered stdout meets the closed pipe when it is flushed, an unbuffered
+    one at the first ``print``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(haantjes.__file__).resolve().parents[1])
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    argv = [sys.executable, "-m", "haantjes.cli", "torsion", _op("ex3.json"), "--level", "3"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 141
 
 
 def test_golden_outputs_replay_byte_identically(monkeypatch):

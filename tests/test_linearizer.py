@@ -25,6 +25,7 @@ from haantjes.polyring import Poly
 from haantjes.torsion import tensor_t, torsion_level
 
 from conftest import random_operator
+from reference import combine
 
 
 # ----- the linearized family -----------------------------------------------------
@@ -209,7 +210,14 @@ def test_t_pattern_candidates_match_the_obstruction_contractions(operators_dir):
     operators += [random_operator(rng, 4, 1) for _ in range(2)]
     c1, c2, c3 = cands
     for L in operators:
-        assert tensor_t(L) == c1.apply(L) - c2.apply(L) + c3.apply(L)
+        H, M = torsion_level(L, 2), L.traceless_part()
+        assert tensor_t(L) == combine((1, c1.build(H, M)), (-1, c2.build(H, M)), (1, c3.build(H, M)))
+
+
+def test_extract_system_names_the_expected_unknown_counts():
+    S = Tensor12([[[0] * 3] * 3] * 3, nvars=3 + 5)
+    with pytest.raises(ValueError, match="has 5 non-coordinate variables, expected 27 or 30"):
+        extract_system(S)
 
 
 def test_candidate_rejects_negative_powers():
@@ -226,7 +234,7 @@ def test_candidate_apply_matches_manual_contraction(operators_dir):
     cand = Candidate("haantjes", (1, 1, 0))
     m = L.traceless_part()
     expected = contract_upper(m, contract_lower_j(torsion_level(L, 2), m))
-    assert cand.apply(L) == expected
+    assert cand.build(torsion_level(L, 2), m) == expected
 
 
 def test_search_in_dim4_over_the_obstruction_patterns():

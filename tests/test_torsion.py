@@ -2,21 +2,20 @@
 tensor, and the commuting-triangular test-bed generator.
 
 The strongest checks here recompute each tensor by a second, independent route
-(direct evaluation on vector-field arguments) and require exact agreement with
-the contraction-based implementation.
+(direct evaluation on vector-field arguments, in ``reference``) and require
+exact agreement with the contraction-based implementation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from haantjes.geometry import OperatorField, Tensor12, VectorField, lie_bracket
-from haantjes.polyring import Poly
+from haantjes.geometry import OperatorField, Tensor12
 from haantjes.torsion import (
-    commuting_triangular_pair,
     fn_bracket,
     fn_bracket_level,
     nijenhuis,
@@ -26,105 +25,8 @@ from haantjes.torsion import (
 )
 
 from conftest import random_operator, random_point, random_poly
-
-
-# ----- independent reference implementations ----------------------------------
-
-
-def _nijenhuis_direct(L: OperatorField) -> Tensor12:
-    """Torsion from its defining bracket identity, evaluated on basis fields:
-
-    T(xi, eta) = L^2 [xi, eta] + [L xi, L eta] - L[L xi, eta] - L[xi, L eta].
-    """
-    n, nv = L.dim, L.nvars
-    l2 = L.power(2)
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            ej, ek = basis[j], basis[k]
-            val = (
-                l2.apply(lie_bracket(ej, ek))
-                + lie_bracket(L.apply(ej), L.apply(ek))
-                - L.apply(lie_bracket(L.apply(ej), ek))
-                - L.apply(lie_bracket(ej, L.apply(ek)))
-            )
-            for i in range(n):
-                comps[i][j][k] = val.components[i]
-    return Tensor12(comps, nvars=nv)
-
-
-def _fn_bracket_direct(K: OperatorField, L: OperatorField) -> Tensor12:
-    """Bracket from its defining identity, evaluated on basis fields:
-
-    [[K, L]](xi, eta) = [K xi, L eta] + [L xi, K eta] + (K L + L K) [xi, eta]
-                        - K([L xi, eta] + [xi, L eta]) - L([K xi, eta] + [xi, K eta]).
-    """
-    n, nv = K.dim, K.nvars
-    k_cols = [K.column(j + 1) for j in range(n)]
-    l_cols = [L.column(j + 1) for j in range(n)]
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            value = (
-                lie_bracket(k_cols[j], l_cols[k])
-                + lie_bracket(l_cols[j], k_cols[k])
-                - K.apply(lie_bracket(l_cols[j], basis[k]) + lie_bracket(basis[j], l_cols[k]))
-                - L.apply(lie_bracket(k_cols[j], basis[k]) + lie_bracket(basis[j], k_cols[k]))
-            )
-            for i in range(n):
-                comps[i][j][k] = value.components[i]
-    return Tensor12(comps, nvars=nv)
-
-
-def _level_step_direct(T: Tensor12, L: OperatorField) -> Tensor12:
-    """One level of the recursion with the previous tensor applied to fields:
-
-    T'(xi, eta) = L^2 T(xi, eta) + T(L xi, L eta) - L T(L xi, eta) - L T(xi, L eta).
-    """
-    n, nv = L.dim, L.nvars
-    l2 = L.power(2)
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            ej, ek = basis[j], basis[k]
-            lej, lek = L.apply(ej), L.apply(ek)
-            val = (
-                l2.apply(T.apply(ej, ek))
-                + T.apply(lej, lek)
-                - L.apply(T.apply(lej, ek))
-                - L.apply(T.apply(ej, lek))
-            )
-            for i in range(n):
-                comps[i][j][k] = val.components[i]
-    return Tensor12(comps, nvars=nv)
-
-
-def _tensor_t_direct(L: OperatorField) -> Tensor12:
-    """Obstruction tensor from its definition on vector-field arguments:
-
-    T(xi, eta) = M H(M xi, eta) - M H(xi, M eta) + H(M^2 xi, eta),
-    with M the traceless part of L and H the level-2 torsion.
-    """
-    n, nv = L.dim, L.nvars
-    m = L.traceless_part()
-    h = torsion_level(L, 2)
-    m2 = m.power(2)
-    basis = [VectorField.basis(j + 1, n, nvars=nv) for j in range(n)]
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            ej, ek = basis[j], basis[k]
-            val = (
-                m.apply(h.apply(m.apply(ej), ek))
-                - m.apply(h.apply(ej, m.apply(ek)))
-                + h.apply(m2.apply(ej), ek)
-            )
-            for i in range(n):
-                comps[i][j][k] = val.components[i]
-    return Tensor12(comps, nvars=nv)
+from reference import combine, commuting_triangular_pair
+from reference import fn_bracket_direct, level_step_direct, nijenhuis_direct, tensor_t_direct
 
 
 # ----- level-1 torsion ---------------------------------------------------------
@@ -143,7 +45,7 @@ def test_torsion_matches_direct_bracket_evaluation():
     rng = random.Random(41)
     for n in (2, 3, 4):
         L = random_operator(rng, n, max_degree=2)
-        assert nijenhuis(L) == _nijenhuis_direct(L)
+        assert nijenhuis(L) == nijenhuis_direct(L)
 
 
 def test_torsion_is_antisymmetric():
@@ -160,7 +62,7 @@ def test_torsion_scales_quadratically():
     rng = random.Random(45)
     L = random_operator(rng, 3, max_degree=1)
     c = Fraction(3)
-    assert nijenhuis(c * L) == Fraction(9) * nijenhuis(L)
+    assert nijenhuis(c * L) == combine((9, nijenhuis(L)))
 
 
 def test_level_one_equals_nijenhuis():
@@ -182,7 +84,7 @@ def test_level_recursion_matches_direct_evaluation():
     for n in (2, 3, 4):
         L = random_operator(rng, n, max_degree=2)
         t1 = nijenhuis(L)
-        assert torsion_step(t1, L) == _level_step_direct(t1, L)
+        assert torsion_step(t1, L) == level_step_direct(t1, L)
 
 
 def test_higher_levels_iterate_the_step():
@@ -218,7 +120,7 @@ def test_bracket_of_equal_arguments_is_twice_the_torsion():
     rng = random.Random(57)
     for n in (2, 3):
         L = random_operator(rng, n)
-        assert fn_bracket(L, L) == Fraction(2) * nijenhuis(L)
+        assert fn_bracket(L, L) == combine((2, nijenhuis(L)))
 
 
 def test_bracket_is_symmetric_in_its_arguments():
@@ -233,14 +135,14 @@ def test_bracket_is_additive_in_each_argument():
     K = random_operator(rng, 3, max_degree=1)
     K2 = random_operator(rng, 3, max_degree=1)
     L = random_operator(rng, 3, max_degree=1)
-    assert fn_bracket(K + K2, L) == fn_bracket(K, L) + fn_bracket(K2, L)
+    assert fn_bracket(K + K2, L) == combine((1, fn_bracket(K, L)), (1, fn_bracket(K2, L)))
 
 
 def test_bracket_levels_collapse_to_torsion_levels_on_the_diagonal():
     rng = random.Random(63)
     L = random_operator(rng, 3, max_degree=1)
     for m in (1, 2, 3):
-        assert fn_bracket_level(L, L, m) == Fraction(2 ** m) * torsion_level(L, m)
+        assert fn_bracket_level(L, L, m) == combine((2 ** m, torsion_level(L, m)))
 
 
 def test_bracket_matches_direct_bracket_evaluation():
@@ -248,7 +150,7 @@ def test_bracket_matches_direct_bracket_evaluation():
     for n in (2, 3, 4):
         K = random_operator(rng, n, max_degree=2)
         L = random_operator(rng, n, max_degree=2)
-        assert fn_bracket(K, L) == _fn_bracket_direct(K, L)
+        assert fn_bracket(K, L) == fn_bracket_direct(K, L)
 
 
 def test_bracket_level_requires_matching_dimensions():
@@ -264,7 +166,7 @@ def test_obstruction_tensor_matches_direct_evaluation():
     rng = random.Random(67)
     for _ in range(3):
         L = random_operator(rng, 4, max_degree=2)
-        assert tensor_t(L) == _tensor_t_direct(L)
+        assert tensor_t(L) == tensor_t_direct(L)
 
 
 def test_obstruction_tensor_is_shift_invariant():
@@ -280,7 +182,7 @@ def test_obstruction_tensor_rejects_other_dimensions_without_force():
     L = random_operator(rng, 3)
     with pytest.raises(ValueError, match="dimension 4"):
         tensor_t(L)
-    assert tensor_t(L, force=True) == _tensor_t_direct(L)
+    assert tensor_t(L, force=True) == tensor_t_direct(L)
 
 
 # ----- pointwise evaluation from the 1-jet -----------------------------------------
@@ -354,6 +256,12 @@ def test_commuting_pair_respects_the_degree_bound():
 
 
 def test_commuting_pair_is_reproducible_and_seed_sensitive():
+    # The 300 pairs of acceptance criterion 8, printed, hash to the value they
+    # had when the generator moved from the library into ``reference``.
+    text = "".join(f"{K}\n{L}\n" for n in (3, 4, 5) for seed in range(100)
+                   for K, L in [commuting_triangular_pair(n, seed, degree=2)])
+    digest = "9abfa307fe0f6d3292ce39badef3fe9b1813277156a1c08bca327e1ea3dfdb5e"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     a = commuting_triangular_pair(3, seed=8)
     b = commuting_triangular_pair(3, seed=8)
     c = commuting_triangular_pair(3, seed=9)
