@@ -188,11 +188,7 @@ def _cmd_integrability(args) -> int:
         distribution = image_flag(L, args.power)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    points = [_parse_point(p, L.dim) for p in args.point]
-    try:
-        integrable = is_integrable(distribution, points)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    integrable = is_integrable(distribution)  # image_flag's generators are independent
     if args.json:
         print(
             json.dumps(
@@ -348,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="operator field (JSON)")
     p.add_argument("--power", type=_positive_int, required=True,
                    help="power k of the traceless part whose image is tested")
-    p.add_argument("--point", action="append", default=[], metavar="POINT",
-                   help="independence certificate point (repeatable)")
     add_common(p, at=False)
     p.set_defaults(handler=_cmd_integrability)
 

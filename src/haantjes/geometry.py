@@ -156,11 +156,6 @@ class OperatorField:
         )
 
     @classmethod
-    def zero(cls, dim: int, nvars: int | None = None) -> "OperatorField":
-        nv = nvars or dim
-        return cls([[0] * dim for _ in range(dim)], nvars=nv)
-
-    @classmethod
     def jordan_block(cls, dim: int, eigenvalue=0, nvars: int | None = None) -> "OperatorField":
         """The single Jordan block with ones on the first superdiagonal."""
         nv = nvars or dim

@@ -340,6 +340,43 @@ class Poly:
                 num[m - unit] = c * e
         return _reduced(p.nvars, p._den, num, p._width, p._top)
 
+    def exact_quotient(self, divisor: "Poly") -> "Poly":
+        """The q with q * divisor == self; ValueError when there is none.
+
+        Long division on the packed form, where integer order is a monomial
+        order (lex), so ``max`` is the leading term.  Fields hold both exponent
+        bounds summed plus a spare top bit: one subtraction tests that the
+        next quotient monomial exists and stays within this Poly's bound.
+        """
+        p, d = self._pack(), self._coerce(divisor)._pack()
+        if d.is_zero:
+            raise ValueError("division by the zero polynomial")
+        if d.is_constant:
+            return p * (1 / d.constant_value())
+        width = _width_for((p._top + d._top) << 1)
+        ones = sum(1 << width * v for v in range(p.nvars))
+        spare, bound = ones << width - 1, p._top * ones
+        rem, div = dict(p._num_at(width)), d._num_at(width)
+        lead = max(div)
+        quo, scale, lc = {}, 1, div[lead]
+        while rem:
+            m = max(rem)
+            t, c = m - lead, rem[m]
+            # (a | spare) - b keeps every spare bit iff no field of b exceeds a's
+            if ((m | spare) - lead) & spare != spare or ((bound | spare) - t) & spare != spare:
+                raise ValueError("the division leaves a nonzero remainder")
+            if c % lc:  # scale quotient and remainder so that c / lc is an integer
+                f = abs(lc) // gcd(c, lc)
+                c, scale = c * f, scale * f
+                rem, quo = ({k: v * f for k, v in x.items()} for x in (rem, quo))
+            quo[t] = c = c // lc
+            for m2, c2 in div.items():
+                v = rem.pop(t + m2, 0) - c * c2
+                if v:
+                    rem[t + m2] = v
+        num = {m: v * d._den for m, v in quo.items()}
+        return _reduced(p.nvars, p._den * scale, num, width, p._top)
+
     def __call__(self, point: Sequence[Rational]) -> Fraction:
         """Evaluate at a rational point; ``point`` must list all nvars values."""
         if len(point) != self.nvars:

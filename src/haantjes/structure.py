@@ -5,8 +5,8 @@ An operator field L with scalar eigenvalue function lam = trace(L)/dim is
 nilpotent Jordan block there: rank (L - lam Id)^k = dim - k.  Regularity is
 certified by exact evaluation at finitely many rational sample points; the
 image distributions Im (L - lam Id)^k and their integrability are handled
-symbolically, with Frobenius' condition tested through exact vanishing of
-bordered minors.
+symbolically: one fraction-free elimination over Q[x] picks the generators
+and decides Frobenius' condition, with every zero test exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .geometry import OperatorField, VectorField, as_point, lie_bracket
-from .polyring import Poly, RationalMatrix
+from .polyring import Poly, RationalMatrix, sum_of_products
 from .torsion import tensor_t, torsion_level
 
 Rational = Union[int, Fraction]
@@ -115,48 +115,47 @@ def regularity_check(L: OperatorField, points: Sequence[Sequence[Rational]]) -> 
     )
 
 
-# ----- polynomial minors ------------------------------------------------------
+# ----- fraction-free elimination ----------------------------------------------
 
 
-def _poly_det(rows: list, nvars: int) -> Poly:
-    """Determinant of a small square matrix of polynomials, by expansion."""
-    size = len(rows)
-    if size == 0:
-        return Poly.constant(1, nvars)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Poly.zero(nvars)
-    sign = 1
-    for col in range(size):
-        pivot = rows[0][col]
-        if not pivot.is_zero:
-            minor = [
-                [row[c] for c in range(size) if c != col] for row in rows[1:]
-            ]
-            total = total + sign * pivot * _poly_det(minor, nvars)
-        sign = -sign
-    return total
+def _eliminate(pivots: list, v, member: bool = False):
+    """``v`` eliminated by ``pivots`` over Q[x], fraction-free (Bareiss 1968).
 
-
-def _generic_rank(columns: list[list[Poly]], nvars: int) -> int:
-    """The rank of a polynomial matrix over the rational function field.
-
-    ``columns`` is a list of columns, each a list of Poly entries.  The rank
-    is the largest size of a square submatrix with a not-identically-zero
-    determinant.
+    ``pivots`` lists pairs (c_k, row_k), each row eliminated by those before
+    it.  Step k sets v_j = (p_k v_j - v_(c_k) row_k[j]) / p_(k-1), where p_k =
+    row_k[c_k] and p_0 = 1: each entry is then a minor, so the division is
+    exact, and v_(c_k) = 0.  v ends at zero iff it lies in the rows' span.
+    Entries are computed on demand; ``member=True`` returns the span test,
+    skips the last division (it cannot make an entry vanish) and stops at
+    the first nonzero entry.
     """
-    if not columns:
-        return 0
-    nrows = len(columns[0])
-    for size in range(min(nrows, len(columns)), 0, -1):
-        for col_set in itertools.combinations(range(len(columns)), size):
-            for row_set in itertools.combinations(range(nrows), size):
-                sub = [[columns[c][r] for c in col_set] for r in row_set]
-                if not _poly_det(sub, nvars).is_zero:
-                    return size
-    return 0
+    nvars = v[0].nvars
+    p = [Poly.constant(1, nvars)] + [row[c] for c, row in pivots]
+    memo = {(0, j): e for j, e in enumerate(v)}
+
+    def entry(k: int, j: int) -> Poly:  # entry j after step k
+        if (k, j) not in memo:
+            c, row = pivots[k - 1]
+            e = Poly.zero(nvars) if j == c else sum_of_products(
+                ((p[k], entry(k - 1, j)), (-entry(k - 1, c), row[j])), nvars)
+            memo[k, j] = e if member and k == len(pivots) else e.exact_quotient(p[k - 1])
+        return memo[k, j]
+
+    entries = (entry(len(pivots), j) for j in range(len(v)))
+    return all(e.is_zero for e in entries) if member else list(entries)
+
+
+def _basis(vectors) -> tuple[list, list[int]]:
+    """Pivots of the vectors taken greedily in order (for a matroid, the
+    lexicographically first basis), and the indices taken."""
+    pivots, taken = [], []
+    for index, v in enumerate(vectors):
+        v = _eliminate(pivots, v)
+        col = next((i for i, e in enumerate(v) if not e.is_zero), None)
+        if col is not None:
+            pivots.append((col, v))
+            taken.append(index)
+    return pivots, taken
 
 
 @dataclass(frozen=True)
@@ -198,56 +197,25 @@ def image_flag(L: OperatorField, k: int) -> Distribution:
     if not (isinstance(k, int) and 1 <= k <= n - 1):
         raise ValueError(f"power must satisfy 1 <= k <= {n - 1}, got {k!r}")
     power = L.traceless_part().power(k)
-    columns = [[power.entries[i][j] for i in range(n)] for j in range(n)]
-    rank = _generic_rank(columns, L.nvars)
-    for col_set in itertools.combinations(range(n), rank):
-        chosen = [columns[c] for c in col_set]
-        if _generic_rank(chosen, L.nvars) == rank:
-            return Distribution(
-                generators=tuple(power.column(c + 1) for c in col_set), dim=n
-            )
-    return Distribution(generators=(), dim=n)  # k-th power vanished identically
+    _, taken = _basis(zip(*power.entries))
+    return Distribution(generators=tuple(power.column(c + 1) for c in taken), dim=n)
 
 
-def is_integrable(
-    D: Distribution, points: Sequence[Sequence[Rational]] = ()
-) -> bool:
+def is_integrable(D: Distribution) -> bool:
     """Frobenius test: do all Lie brackets of generators stay in the span?
 
-    Membership is decided symbolically: the bracket of two generators lies
-    in the span iff every (r+1) x (r+1) minor of the generators extended by
-    the bracket vanishes identically (r = number of generators).  Sample
-    ``points`` are only used to certify that the generators are generically
-    independent; when none is given, independence is checked symbolically.
-    Generically dependent generator lists are rejected.
+    Eliminating the generators exactly rejects a generically dependent list;
+    a bracket lies in the span iff eliminating it by them leaves zero.
     """
-    r = D.rank
-    if r == 0:
-        return True
-    n = D.dim
-    nvars = D.generators[0].nvars
-    columns = [list(g.components) for g in D.generators]
-
-    certified = False
-    for point in points:
-        pt = as_point(point, nvars)
-        matrix = RationalMatrix([[g.components[i](pt) for g in D.generators] for i in range(n)])
-        if matrix.rank == r:
-            certified = True
-            break
-    if not certified and _generic_rank(columns, nvars) < r:
+    pivots, taken = _basis(g.components for g in D.generators)
+    if len(taken) < D.rank:
         raise ValueError("the generators are generically dependent")
-
-    if r == n:
+    if D.rank == D.dim:
         return True  # the full tangent space: nothing to leave
-    for a, b in itertools.combinations(range(r), 2):
-        bracket = lie_bracket(D.generators[a], D.generators[b])
-        extended = columns + [list(bracket.components)]
-        for row_set in itertools.combinations(range(n), r + 1):
-            sub = [[extended[c][i] for c in range(r + 1)] for i in row_set]
-            if not _poly_det(sub, nvars).is_zero:
-                return False
-    return True
+    return all(
+        _eliminate(pivots, lie_bracket(a, b).components, member=True)
+        for a, b in itertools.combinations(D.generators, 2)
+    )
 
 
 # ----- the verdict ------------------------------------------------------------

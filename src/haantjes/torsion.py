@@ -54,6 +54,32 @@ def _jet(L: OperatorField, at) -> tuple[OperatorField, Tensor12, Tensor12]:
     return _at(L, at), D, Dt
 
 
+def _first_terms(D: Tensor12, Dt: Tensor12, A: tuple) -> list:
+    """The four jet terms of the Nijenhuis torsion, with the jet (D, Dt) of
+    one operator and ``A`` = (A, -A) the other:
+
+        Dt^i_{mk} A^m_j - A^i_m Dt^m_{jk} - D^i_{jm} A^m_k + A^i_m D^m_{jk}.
+    """
+    A, minus_A = A
+    return [(Dt, A, LOWER_J), (Dt, minus_A, UPPER), (D, minus_A, LOWER_K), (D, A, UPPER)]
+
+
+def _step_terms(T: Tensor12, A: tuple, B: tuple) -> list:
+    """The four terms of one recursion step for the ordered pair (A, B),
+    each given as (operator, its negative):
+
+        A B T(xi, eta) + T(A xi, B eta) - B T(A xi, eta) - A T(xi, B eta).
+    """
+    (A, minus_A), (B, minus_B) = A, B
+    jA = contract_lower_j(T, A)
+    return [
+        (contract_upper(B, T), A, UPPER),
+        (jA, B, LOWER_K),
+        (jA, minus_B, UPPER),
+        (contract_lower_k(T, B), minus_A, UPPER),
+    ]
+
+
 def nijenhuis(L: OperatorField, at=None) -> Tensor12:
     """The Nijenhuis torsion of L on the coordinate fields:
 
@@ -63,8 +89,7 @@ def nijenhuis(L: OperatorField, at=None) -> Tensor12:
     Coordinate fields commute, so the L^2 [xi, eta] term drops out.
     """
     L, D, Dt = _jet(L, at)
-    minus_L = -L
-    return contract((Dt, L, LOWER_J), (Dt, minus_L, UPPER), (D, minus_L, LOWER_K), (D, L, UPPER))
+    return contract(*_first_terms(D, Dt, (L, -L)))
 
 
 def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
@@ -74,13 +99,8 @@ def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
     contraction, T(xi, L eta) the lower-k contraction, and the outer L's act
     on the upper slot; no derivatives of L enter at this stage.
     """
-    jT = contract_lower_j(T, L)
-    kT = contract_lower_k(T, L)
-    LT = contract_upper(L, T)
-    minus_L = -L
-    return contract(
-        (LT, L, UPPER), (jT, L, LOWER_K), (jT, minus_L, UPPER), (kT, minus_L, UPPER)
-    )
+    L = (L, -L)
+    return contract(*_step_terms(T, L, L))
 
 
 def torsion_level(L: OperatorField, level: int, at=None) -> Tensor12:
@@ -109,17 +129,8 @@ def fn_bracket(K: OperatorField, L: OperatorField, at=None) -> Tensor12:
     K._check_compatible(L)
     K, DK, DtK = _jet(K, at)
     L, DL, DtL = _jet(L, at)
-    minus_K, minus_L = -K, -L
-    return contract(
-        (DtL, K, LOWER_J),
-        (DtK, L, LOWER_J),
-        (DtL, minus_K, UPPER),
-        (DtK, minus_L, UPPER),
-        (DL, minus_K, LOWER_K),
-        (DK, minus_L, LOWER_K),
-        (DL, K, UPPER),
-        (DK, L, UPPER),
-    )
+    K, L = (K, -K), (L, -L)
+    return contract(*_first_terms(DL, DtL, K), *_first_terms(DK, DtK, L))
 
 
 def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12:
@@ -133,23 +144,8 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
     With K = L it collapses to twice the torsion step.
     """
     K._check_compatible(L)
-    jK = contract_lower_j(T, K)
-    jL = contract_lower_j(T, L)
-    kK = contract_lower_k(T, K)
-    kL = contract_lower_k(T, L)
-    KT = contract_upper(K, T)
-    LT = contract_upper(L, T)
-    minus_K, minus_L = -K, -L
-    return contract(
-        (LT, K, UPPER),
-        (jK, L, LOWER_K),
-        (jK, minus_L, UPPER),
-        (kL, minus_K, UPPER),
-        (KT, L, UPPER),
-        (jL, K, LOWER_K),
-        (jL, minus_K, UPPER),
-        (kK, minus_L, UPPER),
-    )
+    K, L = (K, -K), (L, -L)
+    return contract(*_step_terms(T, K, L), *_step_terms(T, L, K))
 
 
 def fn_bracket_level(K: OperatorField, L: OperatorField, level: int, at=None) -> Tensor12:

@@ -2,15 +2,18 @@
 with ``lie_bracket`` and a few plain helpers over ``VectorField.components``
 and ``sum_of_products``, where the library contracts the 1-jet instead.
 ``commuting_triangular_pair`` seeds the bracket test-bed of criterion 8.
+The image flags and the Frobenius test are checked against minor
+enumerations, on operators that ``conjugated_block`` draws.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 from haantjes.geometry import OperatorField, Tensor12, VectorField, lie_bracket
 from haantjes.polyring import Poly, sum_of_products
+from haantjes.structure import Distribution
 from haantjes.torsion import torsion_level
 
 
@@ -177,7 +180,7 @@ def commuting_triangular_pair(
     def series() -> OperatorField:
         # The (1,2)-entry is p_1 * N[1][2] with both factors nonzero, so the
         # result is never the zero operator.
-        total = OperatorField.zero(n, n)
+        total = OperatorField([[0] * n for _ in range(n)], nvars=n)
         power = OperatorField.identity(n, n)
         for i in range(1, n):
             power = power.compose(N)
@@ -188,3 +191,108 @@ def commuting_triangular_pair(
         return total
 
     return series(), series()
+
+
+# ----- generic rank by minors: the oracle for structure's elimination --------
+
+
+def _poly_det(rows: list, nvars: int) -> Poly:
+    """Determinant of a small square matrix of polynomials, by expansion."""
+    size = len(rows)
+    if size == 0:
+        return Poly.constant(1, nvars)
+    if size == 1:
+        return rows[0][0]
+    if size == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = Poly.zero(nvars)
+    sign = 1
+    for col in range(size):
+        pivot = rows[0][col]
+        if not pivot.is_zero:
+            minor = [
+                [row[c] for c in range(size) if c != col] for row in rows[1:]
+            ]
+            total = total + sign * pivot * _poly_det(minor, nvars)
+        sign = -sign
+    return total
+
+
+def _generic_rank(columns: list[list[Poly]], nvars: int) -> int:
+    """The rank of a polynomial matrix over the rational function field.
+
+    ``columns`` is a list of columns, each a list of Poly entries.  The rank
+    is the largest size of a square submatrix with a not-identically-zero
+    determinant.
+    """
+    if not columns:
+        return 0
+    nrows = len(columns[0])
+    for size in range(min(nrows, len(columns)), 0, -1):
+        for col_set in combinations(range(len(columns)), size):
+            for row_set in combinations(range(nrows), size):
+                sub = [[columns[c][r] for c in col_set] for r in row_set]
+                if not _poly_det(sub, nvars).is_zero:
+                    return size
+    return 0
+
+
+def image_flag_by_minors(L: OperatorField, k: int) -> Distribution:
+    """The lexicographically first maximal independent subset of the columns
+    of (L - (trace/dim) Id)^k, each subset tested by its minors."""
+    n = L.dim
+    power = L.traceless_part().power(k)
+    columns = [[power.entries[i][j] for i in range(n)] for j in range(n)]
+    rank = _generic_rank(columns, L.nvars)
+    for col_set in combinations(range(n), rank):
+        chosen = [columns[c] for c in col_set]
+        if _generic_rank(chosen, L.nvars) == rank:
+            return Distribution(
+                generators=tuple(power.column(c + 1) for c in col_set), dim=n
+            )
+    return Distribution(generators=(), dim=n)  # k-th power vanished identically
+
+
+def is_integrable_by_minors(D: Distribution) -> bool:
+    """Frobenius test: the bracket of two generators lies in the span iff
+    every (r+1) x (r+1) minor of the generators bordered by it vanishes."""
+    r = D.rank
+    if r == 0:
+        return True
+    n = D.dim
+    nvars = D.generators[0].nvars
+    columns = [list(g.components) for g in D.generators]
+    if _generic_rank(columns, nvars) < r:
+        raise ValueError("the generators are generically dependent")
+    if r == n:
+        return True  # the full tangent space: nothing to leave
+    for a, b in combinations(range(r), 2):
+        bracket = lie_bracket(D.generators[a], D.generators[b])
+        extended = columns + [list(bracket.components)]
+        for row_set in combinations(range(n), r + 1):
+            sub = [[extended[c][i] for c in range(r + 1)] for i in row_set]
+            if not _poly_det(sub, nvars).is_zero:
+                return False
+    return True
+
+
+def conjugated_block(n: int, seed: int) -> OperatorField:
+    """L = P J P^-1 for the nilpotent Jordan block J and a unipotent P = I + N.
+
+    N is strictly lower triangular; row by row, each entry is
+    c0 + c1 x1 + ... + cn xn with every c drawn as randint(-2, 2) from
+    ``random.Random(seed)``.  P^-1 is the finite series sum_{k<n} (-N)^k.
+    """
+    rng = random.Random(seed)
+    x = [Poly.constant(1, n)] + [Poly.variable(v, n) for v in range(1, n + 1)]
+    rows = [[Poly.zero(n)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = sum_of_products(((xv, Poly.constant(rng.randint(-2, 2), n)) for xv in x), n)
+    N = OperatorField(rows, nvars=n)
+    identity = OperatorField.identity(n, n)
+    inverse, term, minus_N = identity, identity, -N
+    for _ in range(1, n):
+        term = term.compose(minus_N)
+        inverse = inverse + term
+    return (identity + N).compose(OperatorField.jordan_block(n)).compose(inverse)

@@ -498,3 +498,61 @@ def test_kernel_matches_the_reference_on_generated_inputs():
         _check_kernel(pairs, 4)
 
     check()
+
+
+# ----- exact division ------------------------------------------------------------
+
+
+def test_exact_quotient_inverts_multiplication_on_generated_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    monomials = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 130)), max_size=3).map(
+        lambda pairs: tuple(sorted(dict(pairs).items())))
+    polys = st.dictionaries(monomials, coefficients, max_size=4).map(lambda t: Poly(3, t))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(polys, polys)
+    def check(p, q):
+        hypothesis.assume(not q.is_zero)
+        assert (p * q).exact_quotient(q) == p
+        if not p.is_zero:
+            assert (p * q).exact_quotient(p) == q
+
+    check()
+
+
+def test_exact_quotient_by_a_constant_scales():
+    p = Poly.parse("1/2*x1^2*x3 - x2 + 3", 3)
+    assert p.exact_quotient(Poly.constant(Fraction(-3, 4), 3)) == p * Fraction(-4, 3)
+    assert p.exact_quotient(Poly.constant(1, 3)) == p
+
+
+def test_exact_quotient_keeps_a_remainder_wider_than_eight_bits():
+    # Dividing x1^200*x2 by x2 + x1^100 leaves -x1^300; at the dividend's
+    # 8-bit width it would wrap into x1^44*x2, which x2 divides.
+    p = Poly.parse("x1^200*x2", 3)
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        p.exact_quotient(Poly.parse("x2 + x1^100", 3))
+    for q, d in (("x1^200 - 1/3*x2", "x2 + x1^100"), ("x1^100 + x2", "x1^100 - 2*x3")):
+        q, d = Poly.parse(q, 3), Poly.parse(d, 3)
+        assert (q * d).exact_quotient(d) == q
+
+
+def test_exact_quotient_rejects_what_does_not_divide():
+    x1, x2 = Poly.variable(1, 2), Poly.variable(2, 2)
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        (x1 + 1).exact_quotient(x2)
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        (x1 * x1 + 1).exact_quotient(x1 + 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        x1.exact_quotient(Poly.zero(2))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Poly.zero(2).exact_quotient(Poly.zero(2))
+
+
+def test_zero_divided_by_anything_is_zero():
+    q = Poly.parse("x1 - 2/3*x2^5", 2)
+    assert Poly.zero(2).exact_quotient(q) == 0
+    assert Poly.zero(2).exact_quotient(q).is_zero

@@ -20,7 +20,13 @@ from haantjes.structure import (
     verdict,
 )
 
-from reference import basis_field, combine
+from reference import (
+    basis_field,
+    combine,
+    conjugated_block,
+    image_flag_by_minors,
+    is_integrable_by_minors,
+)
 
 
 # ----- sample points -----------------------------------------------------------
@@ -141,6 +147,32 @@ def test_dependent_generators_are_rejected():
     xi = VectorField((x1, Poly.zero(3), Poly.zero(3)), dim=3)
     with pytest.raises(ValueError, match="generically dependent"):
         is_integrable(Distribution((xi, combine((2, xi))), 3))
+
+
+def test_elimination_matches_the_minors_reference(operators_dir):
+    cases = [(path.name, load_operator(path)) for path in sorted(operators_dir.glob("*.json"))]
+    cases += [
+        (f"conjugated_block({n}, {seed})", conjugated_block(n, seed))
+        for n, seeds in ((3, (3, 13)), (4, (4, 14)), (5, (5,)))
+        for seed in seeds
+    ]
+    for name, L in cases:
+        for k in range(1, L.dim):
+            D, expected = image_flag(L, k), image_flag_by_minors(L, k)
+            assert [str(g) for g in D.generators] == [str(g) for g in expected.generators], (name, k)
+            assert is_integrable(D) == is_integrable_by_minors(expected), (name, k)
+
+
+def test_dependence_over_the_function_field_is_rejected_in_either_order():
+    # third = (x2 - x1) xi + eta, so each of the three lies in the span of
+    # the other two, though no two of them are proportional.
+    x1, x2 = Poly.variable(1, 3), Poly.variable(2, 3)
+    xi = VectorField((x1, x2, Poly.zero(3)), dim=3)
+    eta = basis_field(3, 3)
+    third = VectorField(((x2 - x1) * x1, (x2 - x1) * x2, Poly.constant(1, 3)), dim=3)
+    for generators in ((xi, eta, third), (third, eta, xi)):
+        with pytest.raises(ValueError, match="generically dependent"):
+            is_integrable(Distribution(generators, 3))
 
 
 def test_distribution_serializes():
