@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polyring import Poly, RationalMatrix, sum_of_products
@@ -255,13 +255,9 @@ class OperatorField:
         """The k-th composition power; power(0) is the identity."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"power must be a non-negative integer, got {k!r}")
-        result = OperatorField.identity(self.dim, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
+        result = self if k else OperatorField.identity(self.dim, self.nvars)
+        for _ in range(k - 1):  # not by squaring, which multiplies the largest factors
+            result = result.compose(self)
         return result
 
     def trace(self) -> Poly:
@@ -309,8 +305,9 @@ class Tensor12:
     """A (1,2)-tensor field S^i_{jk}: one upper slot, two lower slots.
 
     Components are stored as a dim x dim x dim nested tuple indexed
-    [i-1][j-1][k-1]; ``component(i, j, k)`` reads 1-based.  Torsions are
-    antisymmetric in (j, k), but the container itself does not assume it.
+    [i-1][j-1][k-1]; ``component(i, j, k)`` reads 1-based.  Torsions and
+    brackets are 2-forms, antisymmetric in (j, k), and ``contract`` computes
+    them on j < k only; the container itself does not assume it.
     A tensor has no arithmetic: a signed sum of contractions is one
     ``contract`` call.
     """
@@ -414,7 +411,7 @@ def _factor_pairs(S: Tensor12, A: OperatorField, slot: str):
     raise ValueError(f"unknown contraction slot {slot!r}")
 
 
-def contract(*terms: tuple[Tensor12, OperatorField, str]) -> Tensor12:
+def contract(*terms: tuple[Tensor12, OperatorField, str], antisymmetric: bool = False) -> Tensor12:
     """The sum of slotwise contractions, each term given as (S, A, slot).
 
     ``slot`` is UPPER for (A S)^i_{jk} = A^i_m S^m_{jk}, LOWER_J for
@@ -422,6 +419,10 @@ def contract(*terms: tuple[Tensor12, OperatorField, str]) -> Tensor12:
     S^i_{jm} A^m_k.  A term is subtracted by passing -A.  All products of a
     component land in one ``sum_of_products`` accumulator, so no
     intermediate tensor is built per term.
+
+    ``antisymmetric=True`` is the caller's promise that the sum is a 2-form,
+    S^i_{jk} = -S^i_{kj}: only the components with j < k are computed, the
+    ones with j > k are their negatives and the diagonal is zero.
     """
     if not terms:
         raise ValueError("a contraction needs at least one term")
@@ -430,20 +431,14 @@ def contract(*terms: tuple[Tensor12, OperatorField, str]) -> Tensor12:
         if (S.dim, S.nvars) != (n, nv) or (A.dim, A.nvars) != (n, nv):
             raise ValueError("operator and tensor live on different spaces")
     pairs = [_factor_pairs(S, A, slot) for S, A, slot in terms]
-    r = range(n)
-    return Tensor12(
-        [
-            [
-                [
-                    sum_of_products(chain.from_iterable(p(i, j, k) for p in pairs), nv)
-                    for k in r
-                ]
-                for j in r
-            ]
-            for i in r
-        ],
-        nvars=nv,
-    )
+    r, zero = range(n), Poly.zero(nv)
+    comps = [[[zero] * n for _ in r] for _ in r]
+    for i, j, k in product(r, r, r):
+        if not antisymmetric or j < k:
+            comps[i][j][k] = sum_of_products(chain.from_iterable(p(i, j, k) for p in pairs), nv)
+        elif j > k and not comps[i][k][j].is_zero:  # (i, k, j) came first
+            comps[i][j][k] = -comps[i][k][j]
+    return Tensor12(comps, nvars=nv)
 
 
 def contract_upper(A: OperatorField, S: Tensor12) -> Tensor12:

@@ -20,6 +20,9 @@ entries L^i_j and their first derivatives d_k L^i_j, in
 ``geometry.contract``.  Its value at a point depends only on L(p) and
 dL(p), so ``at=point`` evaluates the jet there before any contraction;
 parameter variables beyond the coordinate block stay symbolic.
+
+Torsion and bracket levels are vector-valued 2-forms, S^i_{jk} = -S^i_{kj}:
+only their components with j < k are computed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .geometry import (
     as_point,
     contract,
     contract_lower_j,
-    contract_lower_k,
     contract_upper,
 )
 
@@ -46,12 +48,17 @@ def _at(field, at):
     return field.set_vars(dict(enumerate(as_point(at, field.dim), start=1)))
 
 
+def _transposed(S: Tensor12) -> Tensor12:
+    """S with its lower slots swapped: S'^i_{jk} = S^i_{kj}."""
+    s, r = S.comps, range(S.dim)
+    return Tensor12([[[s[i][k][j] for k in r] for j in r] for i in r], nvars=S.nvars)
+
+
 def _jet(L: OperatorField, at) -> tuple[OperatorField, Tensor12, Tensor12]:
     """The 1-jet (L, D, Dt) at ``at``: D^i_{jk} = d_k L^i_j, Dt^i_{jk} = d_j L^i_k."""
     r = range(L.dim)
     D = _at(Tensor12([[[e.diff(k + 1) for k in r] for e in row] for row in L.entries]), at)
-    Dt = Tensor12([[[D.comps[i][k][j] for k in r] for j in r] for i in r])
-    return _at(L, at), D, Dt
+    return _at(L, at), D, _transposed(D)
 
 
 def _first_terms(D: Tensor12, Dt: Tensor12, A: tuple) -> list:
@@ -66,18 +73,27 @@ def _first_terms(D: Tensor12, Dt: Tensor12, A: tuple) -> list:
 
 def _step_terms(T: Tensor12, A: tuple, B: tuple) -> list:
     """The four terms of one recursion step for the ordered pair (A, B),
-    each given as (operator, its negative):
+    each given as (operator, its negative, T(operator xi, eta)):
 
         A B T(xi, eta) + T(A xi, B eta) - B T(A xi, eta) - A T(xi, B eta).
+
+    T is a 2-form: -A T(xi, B eta) = A T(B eta, xi), the transposed T(B xi, eta).
     """
-    (A, minus_A), (B, minus_B) = A, B
-    jA = contract_lower_j(T, A)
+    (A, minus_A, jA), (B, minus_B, jB) = A, B
     return [
-        (contract_upper(B, T), A, UPPER),
+        (contract((T, B, UPPER), antisymmetric=True), A, UPPER),
         (jA, B, LOWER_K),
         (jA, minus_B, UPPER),
-        (contract_lower_k(T, B), minus_A, UPPER),
+        (_transposed(jB), A, UPPER),
     ]
+
+
+def _two_form(T: Tensor12) -> None:
+    """ValueError unless T^i_{jk} = -T^i_{kj}, which ``_step_terms`` relies on."""
+    c, r = T.comps, range(T.dim)
+    for a, b in ((c[i][j][k], c[i][k][j]) for i in r for j in r for k in range(j, T.dim)):
+        if not (a.is_zero and b.is_zero) and a != -b:
+            raise ValueError("a recursion step needs an antisymmetric T, T^i_{jk} = -T^i_{kj}")
 
 
 def nijenhuis(L: OperatorField, at=None) -> Tensor12:
@@ -89,18 +105,20 @@ def nijenhuis(L: OperatorField, at=None) -> Tensor12:
     Coordinate fields commute, so the L^2 [xi, eta] term drops out.
     """
     L, D, Dt = _jet(L, at)
-    return contract(*_first_terms(D, Dt, (L, -L)))
+    return contract(*_first_terms(D, Dt, (L, -L)), antisymmetric=True)
 
 
 def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
     """One level of the torsion recursion, as slotwise contractions with L.
 
     Given the components of the previous level, T(L xi, eta) is the lower-j
-    contraction, T(xi, L eta) the lower-k contraction, and the outer L's act
-    on the upper slot; no derivatives of L enter at this stage.
+    contraction, T(xi, L eta) = -T(L eta, xi) its negated transpose, and the
+    outer L's act on the upper slot; no derivatives of L enter at this stage.
+    T must be a 2-form, as every level is; ValueError otherwise.
     """
-    L = (L, -L)
-    return contract(*_step_terms(T, L, L))
+    _two_form(T)
+    L = (L, -L, contract_lower_j(T, L))
+    return contract(*_step_terms(T, L, L), antisymmetric=True)
 
 
 def torsion_level(L: OperatorField, level: int, at=None) -> Tensor12:
@@ -130,7 +148,7 @@ def fn_bracket(K: OperatorField, L: OperatorField, at=None) -> Tensor12:
     K, DK, DtK = _jet(K, at)
     L, DL, DtL = _jet(L, at)
     K, L = (K, -K), (L, -L)
-    return contract(*_first_terms(DL, DtL, K), *_first_terms(DK, DtK, L))
+    return contract(*_first_terms(DL, DtL, K), *_first_terms(DK, DtK, L), antisymmetric=True)
 
 
 def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12:
@@ -141,11 +159,12 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
                       + L K T(xi, eta) + T(L xi, K eta)
                       - K T(L xi, eta) - L T(xi, K eta).
 
-    With K = L it collapses to twice the torsion step.
+    With K = L it collapses to twice the torsion step; T must be a 2-form.
     """
     K._check_compatible(L)
-    K, L = (K, -K), (L, -L)
-    return contract(*_step_terms(T, K, L), *_step_terms(T, L, K))
+    _two_form(T)
+    K, L = (K, -K, contract_lower_j(T, K)), (L, -L, contract_lower_j(T, L))
+    return contract(*_step_terms(T, K, L), *_step_terms(T, L, K), antisymmetric=True)
 
 
 def fn_bracket_level(K: OperatorField, L: OperatorField, level: int, at=None) -> Tensor12:

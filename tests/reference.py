@@ -1,6 +1,9 @@
 """Direct oracles: each tensor from its defining identity on coordinate fields,
 with ``lie_bracket`` and a few plain helpers over ``VectorField.components``
 and ``sum_of_products``, where the library contracts the 1-jet instead.
+``torsion_step_full`` and ``fn_bracket_step_full`` keep the recursion step on
+all n^3 components, with both lower contractions, where the library computes
+a 2-form on j < k and derives one contraction from the other.
 ``commuting_triangular_pair`` seeds the bracket test-bed of criterion 8.
 The image flags and the Frobenius test are checked against minor
 enumerations, on operators that ``conjugated_block`` draws.
@@ -11,7 +14,18 @@ from __future__ import annotations
 import random
 from itertools import chain, combinations
 
-from haantjes.geometry import OperatorField, Tensor12, VectorField, lie_bracket
+from haantjes.geometry import (
+    LOWER_K,
+    UPPER,
+    OperatorField,
+    Tensor12,
+    VectorField,
+    contract,
+    contract_lower_j,
+    contract_lower_k,
+    contract_upper,
+    lie_bracket,
+)
 from haantjes.polyring import Poly, sum_of_products
 from haantjes.structure import Distribution
 from haantjes.torsion import torsion_level
@@ -133,6 +147,31 @@ def tensor_t_direct(L: OperatorField) -> Tensor12:
         )
 
     return tensor_on_basis(L.dim, L.nvars, value)
+
+
+# ----- the recursion steps on all n^3 components -----------------------------
+
+
+def _step_terms_full(T: Tensor12, A: OperatorField, B: OperatorField) -> list:
+    """A B T(xi, eta) + T(A xi, B eta) - B T(A xi, eta) - A T(xi, B eta), with
+    T(A xi, eta) and T(xi, B eta) contracted separately."""
+    jA = contract_lower_j(T, A)
+    return [
+        (contract_upper(B, T), A, UPPER),
+        (jA, B, LOWER_K),
+        (jA, -B, UPPER),
+        (contract_lower_k(T, B), -A, UPPER),
+    ]
+
+
+def torsion_step_full(T: Tensor12, L: OperatorField) -> Tensor12:
+    """One level of the torsion recursion on every component; any T."""
+    return contract(*_step_terms_full(T, L, L))
+
+
+def fn_bracket_step_full(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12:
+    """One level of the bracket recursion on every component; any T."""
+    return contract(*_step_terms_full(T, K, L), *_step_terms_full(T, L, K))
 
 
 # ----- random commuting pairs for the bracket test-bed -----------------------

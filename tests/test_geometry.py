@@ -111,11 +111,14 @@ def test_composition_matches_matrix_product_pointwise():
         assert (a @ b).evaluate(pt) == a.evaluate(pt) @ b.evaluate(pt)
 
 
-def test_power_by_squaring_matches_repeated_composition():
+def test_power_matches_repeated_composition():
     rng = random.Random(11)
     l = random_operator(rng, 3, max_degree=1)
     assert l.power(3) == l @ l @ l
-    assert l.power(0) == OperatorField.identity(3)
+    composed = OperatorField.identity(3)
+    for k in range(6):
+        assert l.power(k) == composed
+        composed = composed @ l
 
 
 def test_trace_and_traceless_part():
@@ -200,6 +203,24 @@ def test_contract_sums_its_single_slot_terms():
         (1, contract_lower_j(t, a)),
     )
     assert fused == expected
+
+
+def test_antisymmetric_contract_computes_j_below_k_and_mirrors_the_rest():
+    rng = random.Random(31)
+    a = random_operator(rng, 3, max_degree=1)
+    s = _random_tensor(rng, 3)
+    r = range(3)
+    two_form = Tensor12(
+        [[[s.comps[i][j][k] - s.comps[i][k][j] for k in r] for j in r] for i in r], nvars=3
+    )
+    assert contract((two_form, a, UPPER), antisymmetric=True) == contract_upper(a, two_form)
+    # The switch is a promise about the sum: on any other sum it keeps j < k.
+    full, half = contract((s, a, LOWER_J)), contract((s, a, LOWER_J), antisymmetric=True)
+    for i in r:
+        for j in r:
+            assert half.comps[i][j][j].is_zero
+            for k in range(j + 1, 3):
+                assert half.comps[i][j][k] == full.comps[i][j][k] == -half.comps[i][k][j]
 
 
 def test_contract_rejects_an_operator_from_another_space():

@@ -14,10 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from haantjes.geometry import OperatorField, Tensor12
+from haantjes.geometry import LOWER_J, OperatorField, Tensor12, contract
+from haantjes.polyring import Poly
 from haantjes.torsion import (
     fn_bracket,
     fn_bracket_level,
+    fn_bracket_step,
     nijenhuis,
     tensor_t,
     torsion_level,
@@ -25,7 +27,7 @@ from haantjes.torsion import (
 )
 
 from conftest import random_operator, random_point, random_poly
-from reference import combine, commuting_triangular_pair
+from reference import combine, commuting_triangular_pair, fn_bracket_step_full, torsion_step_full
 from reference import fn_bracket_direct, level_step_direct, nijenhuis_direct, tensor_t_direct
 
 
@@ -140,9 +142,10 @@ def test_bracket_is_additive_in_each_argument():
 
 def test_bracket_levels_collapse_to_torsion_levels_on_the_diagonal():
     rng = random.Random(63)
-    L = random_operator(rng, 3, max_degree=1)
-    for m in (1, 2, 3):
-        assert fn_bracket_level(L, L, m) == combine((2 ** m, torsion_level(L, m)))
+    for n in (3, 2, 4, 5):
+        L = random_operator(rng, n, max_degree=1)
+        for m in (1, 2, 3):
+            assert fn_bracket_level(L, L, m) == combine((2 ** m, torsion_level(L, m)))
 
 
 def test_bracket_matches_direct_bracket_evaluation():
@@ -157,6 +160,102 @@ def test_bracket_level_requires_matching_dimensions():
     rng = random.Random(65)
     with pytest.raises(ValueError):
         fn_bracket(random_operator(rng, 2), random_operator(rng, 3))
+
+
+# ----- 2-forms on j < k against the full n^3 reference ------------------------------
+
+
+def _reference_torsion(L: OperatorField) -> list:
+    """Torsion levels 1-3: the direct Nijenhuis torsion, then full-component steps."""
+    levels = [nijenhuis_direct(L)]
+    for _ in range(2):
+        levels.append(torsion_step_full(levels[-1], L))
+    return levels
+
+
+def _reference_bracket(K: OperatorField, L: OperatorField) -> list:
+    """Bracket levels 1-2: the direct bracket, then one full-component step."""
+    level1 = fn_bracket_direct(K, L)
+    return [level1, fn_bracket_step_full(level1, K, L)]
+
+
+def _is_antisymmetric(T: Tensor12) -> bool:
+    c, r = T.comps, range(T.dim)
+    return all(c[i][j][k] == -c[i][k][j] for i in r for j in r for k in r)
+
+
+def test_levels_equal_the_full_reference_in_dims_2_to_5():
+    for n, degree in ((2, 2), (3, 2), (4, 2), (5, 1)):
+        rng = random.Random(80 + n)
+        K, L = random_operator(rng, n, degree), random_operator(rng, n, degree)
+        for m, T in enumerate(_reference_torsion(L), start=1):
+            assert torsion_level(L, m) == T
+        for m, T in enumerate(_reference_bracket(K, L), start=1):
+            assert fn_bracket_level(K, L, m) == T
+
+
+def test_steps_reject_a_tensor_that_is_not_antisymmetric():
+    rng = random.Random(85)
+    K, L = random_operator(rng, 3, max_degree=1), random_operator(rng, 3, max_degree=1)
+    r = range(3)
+
+    def single(at):  # x1 in one component, zero elsewhere
+        return Tensor12([[[Poly.variable(1, 3) if (i, j, k) == at else 0 for k in r] for j in r]
+                         for i in r])
+
+    for T in (contract((nijenhuis(L), L, LOWER_J)), single((0, 1, 1)), single((0, 0, 1))):
+        assert not _is_antisymmetric(T)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            torsion_step(T, L)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            fn_bracket_step(T, K, L)
+
+
+def _generated_operators(st, n: int):
+    """Operators on Q^n whose entries have at most two terms of degree <= 2."""
+    monomials = st.lists(st.integers(1, n), max_size=2).map(
+        lambda vs: tuple((v, vs.count(v)) for v in sorted(set(vs)))
+    )
+    polys = st.dictionaries(monomials, st.integers(-3, 3), max_size=2).map(lambda t: Poly(n, t))
+    rows = st.lists(polys, min_size=n, max_size=n)
+    return st.lists(rows, min_size=n, max_size=n).map(lambda m: OperatorField(m, nvars=n))
+
+
+def _operator_tuples(st, size: int):
+    """``size`` generated operators of one dimension, 2 to 4."""
+    return st.integers(2, 4).flatmap(lambda n: st.tuples(*[_generated_operators(st, n)] * size))
+
+
+def test_levels_are_2_forms_on_generated_operators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(_operator_tuples(st, 2))
+    def check(pair):
+        K, L = pair
+        for m, T in enumerate(_reference_torsion(L), start=1):
+            assert _is_antisymmetric(T) and torsion_level(L, m) == T
+        for m, T in enumerate(_reference_bracket(K, L), start=1):
+            assert _is_antisymmetric(T) and fn_bracket_level(K, L, m) == T
+
+    check()
+
+
+def test_bracket_is_symmetric_and_additive_on_generated_operators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(_operator_tuples(st, 3))
+    def check(triple):
+        K, L1, L2 = triple
+        for m, T in enumerate(_reference_bracket(L1, K), start=1):
+            assert fn_bracket_level(K, L1, m) == T
+        parts = [(1, fn_bracket_direct(K, L1)), (1, fn_bracket_direct(K, L2))]
+        assert fn_bracket(K, L1 + L2) == combine(*parts)
+
+    check()
 
 
 # ----- obstruction tensor ---------------------------------------------------------
