@@ -21,7 +21,8 @@ view of a large tensor does not double its memory.
 
 All sums of products, and with them ``*``, ``+``, ``-`` and ``**``, run
 through one kernel, ``sum_of_products``, which accumulates integers only and
-normalises its result once.
+normalises its result once.  Evaluation at a point is ``set_vars`` on every
+variable, and printing sorts terms by one graded-lex key.
 
 The module also provides RationalMatrix, a dense matrix of Fractions with
 reduced row echelon form, rank, row-space comparison and nullspace
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -78,33 +78,6 @@ def _decode(m: int, width: int) -> Mono:
 
 def _mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
-
-
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic comparison (degree first, then lex on x1 > x2 > ...)."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return da - db
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va != vb:
-            # The monomial with a positive exponent on the smaller variable
-            # wins, since x1 > x2 > ... in the lexicographic order.
-            return 1 if va < vb else -1
-        if ea != eb:
-            return ea - eb
-        ia += 1
-        ib += 1
-    if ia < len(a):
-        return 1
-    if ib < len(b):
-        return -1
-    return 0
-
-
-_GRLEX_KEY = cmp_to_key(_mono_cmp)
 
 
 def _mono_str(m: Mono) -> str:
@@ -247,8 +220,10 @@ class Poly:
         return max((_mono_degree(m) for m, _ in self._items()), default=0)
 
     def sorted_terms(self) -> list:
-        """(monomial, coefficient) pairs in descending graded-lex order."""
-        return sorted(self._items(), key=lambda kv: _GRLEX_KEY(kv[0]), reverse=True)
+        """(monomial, coefficient) pairs in descending graded-lex order: degree
+        first, then lex on x1 > x2 > ..., hence the negated variable index."""
+        return sorted(self._items(), reverse=True,
+                      key=lambda kv: (_mono_degree(kv[0]), [(-v, e) for v, e in kv[0]]))
 
     # ----- ring operations ----------------------------------------------
 
@@ -299,6 +274,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
+        """Binary powering; the base is squared only while exponent bits remain."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         result = Poly.constant(1, self.nvars)
@@ -307,8 +283,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -378,17 +355,10 @@ class Poly:
         return _reduced(p.nvars, p._den * scale, num, width, p._top)
 
     def __call__(self, point: Sequence[Rational]) -> Fraction:
-        """Evaluate at a rational point; ``point`` must list all nvars values."""
+        """The value at a rational point of all nvars coordinates, by ``set_vars``."""
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for mono, coeff in self._items():
-            term = coeff
-            for var, exp in mono:
-                term *= vals[var - 1] ** exp
-            total += term
-        return total
+        return self.set_vars(dict(enumerate(point, start=1))).constant_value()
 
     def set_vars(self, values: Mapping[int, Rational]) -> "Poly":
         """Substitute constants for some variables, leaving the rest intact."""
@@ -447,6 +417,7 @@ class Poly:
 
     def with_nvars(self, nvars: int) -> "Poly":
         """Reinterpret in Q[x1..x{nvars}]; shrinking checks no variable is lost."""
+        _check_nvars(nvars)
         p = self._pack()
         if nvars < p.nvars:
             limit = p._width * nvars

@@ -29,8 +29,8 @@ NOT_TRIANGULARIZABLE = "NotTriangularizable"
 PRECONDITION_VIOLATED = "PreconditionViolated"
 
 
-def default_sample_points(dim: int, count: int = 2) -> tuple[Point, ...]:
-    """Fixed pseudo-random rational sample points with nonzero coordinates.
+def default_sample_points(dim: int) -> tuple[Point, ...]:
+    """Two fixed pseudo-random rational sample points with nonzero coordinates.
 
     The stream is seeded by the dimension only, so the same points are used
     on every run.  The origin is deliberately not included: homogeneous
@@ -39,7 +39,7 @@ def default_sample_points(dim: int, count: int = 2) -> tuple[Point, ...]:
     """
     rng = random.Random(0x4A61 + dim)
     points = []
-    for _ in range(count):
+    for _ in range(2):
         coords = []
         for _ in range(dim):
             value = 0

@@ -7,11 +7,15 @@ a 2-form on j < k and derives one contraction from the other.
 ``commuting_triangular_pair`` seeds the bracket test-bed of criterion 8.
 The image flags and the Frobenius test are checked against minor
 enumerations, on operators that ``conjugated_block`` draws.
+``grlex_cmp`` and ``evaluate_term_by_term`` are the comparator and the
+Fraction loop behind ``Poly.sorted_terms`` and ``Poly.__call__``, where the
+library sorts by a key and evaluates through ``set_vars``.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain, combinations
 
 from haantjes.geometry import (
@@ -29,6 +33,50 @@ from haantjes.geometry import (
 from haantjes.polyring import Poly, sum_of_products
 from haantjes.structure import Distribution
 from haantjes.torsion import torsion_level
+
+
+# ----- printing order and evaluation of one polynomial -----------------------
+
+
+def grlex_cmp(a: tuple, b: tuple) -> int:
+    """Graded lexicographic comparison (degree first, then lex on x1 > x2 > ...)."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return da - db
+    ia, ib = 0, 0
+    while ia < len(a) and ib < len(b):
+        va, ea = a[ia]
+        vb, eb = b[ib]
+        if va != vb:
+            # The monomial with a positive exponent on the smaller variable
+            # wins, since x1 > x2 > ... in the lexicographic order.
+            return 1 if va < vb else -1
+        if ea != eb:
+            return ea - eb
+        ia += 1
+        ib += 1
+    if ia < len(a):
+        return 1
+    if ib < len(b):
+        return -1
+    return 0
+
+
+def evaluate_term_by_term(p: Poly, point) -> Fraction:
+    """p at a rational point, summed term by term in Fractions."""
+    if len(point) != p.nvars:
+        raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
+    vals = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        term = coeff
+        for var, exp in mono:
+            term *= vals[var - 1] ** exp
+        total += term
+    return total
+
+
+# ----- vector fields and tensors on coordinate fields ------------------------
 
 
 def basis_field(index: int, dim: int, nvars: int | None = None) -> VectorField:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from haantjes import polyring
 from haantjes.polyring import Poly, PolyParseError, RationalMatrix, sum_of_products
 
 from conftest import random_poly
+from reference import evaluate_term_by_term, grlex_cmp
 
 
 # ----- construction and canonical form ---------------------------------------
@@ -141,10 +144,24 @@ def test_ring_axioms_on_random_polynomials():
         assert p * (q + r) == p * q + p * r
 
 
-def test_power_matches_repeated_multiplication():
-    p = Poly.parse("x1 + 2*x2", 2)
-    assert p ** 4 == p * p * p * p
-    assert p ** 0 == Poly.constant(1, 2)
+def test_power_matches_repeated_multiplication(monkeypatch):
+    # and builds no product of higher degree than the power itself
+    p = Poly.parse("x1 - 1/2*x2 + 3", 2)
+    products = [Poly.constant(1, 2)]
+    for _ in range(9):
+        products.append(products[-1] * p)
+    kernel, degrees = polyring._sum_of_products, []
+
+    def recording(pairs, nvars):
+        pairs = list(pairs)
+        degrees.extend(a.total_degree + b.total_degree for a, b in pairs)
+        return kernel(pairs, nvars)
+
+    monkeypatch.setattr(polyring, "_sum_of_products", recording)
+    for e, product in enumerate(products):
+        degrees.clear()
+        assert p ** e == product
+        assert max(degrees, default=0) <= e * p.total_degree, e
 
 
 def test_nvars_mismatch_is_rejected():
@@ -209,6 +226,15 @@ def test_with_nvars_narrows_the_ring():
     p = Poly.parse("x1 + x2", 3).with_nvars(2)
     assert p.nvars == 2
     assert p == Poly.parse("x1 + x2", 2)
+
+
+def test_with_nvars_rejects_a_ring_poly_rejects():
+    for nvars in (0, -4, 2.5):
+        for p in (Poly.constant(3, 2), Poly.parse("x1 + x2", 2)):
+            with pytest.raises(ValueError, match="nvars must be a positive integer"):
+                p.with_nvars(nvars)
+        with pytest.raises(ValueError, match="nvars must be a positive integer"):
+            Poly(nvars)
 
 
 # ----- rational matrices ------------------------------------------------------
@@ -556,3 +582,62 @@ def test_zero_divided_by_anything_is_zero():
     q = Poly.parse("x1 - 2/3*x2^5", 2)
     assert Poly.zero(2).exact_quotient(q) == 0
     assert Poly.zero(2).exact_quotient(q).is_zero
+
+
+# ----- printing order and evaluation against the old loops ---------------------
+#
+# ``grlex_cmp`` and ``evaluate_term_by_term`` (tests/reference.py) are the
+# comparator and the Fraction loop that the sort key of ``sorted_terms`` and
+# the ``set_vars`` route of ``__call__`` replaced.
+
+
+def _check_order_and_value(p, point):
+    order, value = [m for m, _ in p.sorted_terms()], p(point)  # before .terms decodes p
+    assert order == sorted(p.terms, key=cmp_to_key(grlex_cmp), reverse=True)
+    assert value == evaluate_term_by_term(p, point)
+
+
+def test_order_and_evaluation_match_the_old_loops_on_seeded_inputs():
+    rng = random.Random(41)
+    rings = ((4, (1, 2, 3, 4)), (130, (1, 2, 3, 64, 129, 130)))
+    for _ in range(60):
+        nvars, variables = rng.choice(rings)
+        p = _random_rational_poly(rng, variables, nvars, max_terms=6)
+        if rng.random() < 0.3:  # exponents beyond the narrowest field
+            p = p * Poly.variable(rng.choice(variables), nvars) ** rng.choice((256, 300, 1000))
+            p = p + _random_rational_poly(rng, variables, nvars)
+        point = tuple(rng.choice(MIXED + (0,)) for _ in range(nvars))
+        _check_order_and_value(p, point)
+    for nvars in (1, 4, 130):
+        point = tuple(rng.choice(MIXED) for _ in range(nvars))
+        for p in (Poly.zero(nvars), Poly.constant(Fraction(-7, 9), nvars)):
+            _check_order_and_value(p, point)
+            assert p(point) == p.constant_value()
+    for nvars, length in ((3, 2), (3, 4), (130, 129)):
+        p, point = Poly.variable(1, nvars), (Fraction(1, 2),) * length
+        message = f"expected {nvars} coordinates, got {length}"
+        with pytest.raises(ValueError, match=message):
+            p(point)
+        with pytest.raises(ValueError, match=message):
+            evaluate_term_by_term(p, point)
+
+
+def test_order_and_evaluation_match_the_old_loops_on_generated_inputs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    exponents = st.one_of(st.integers(1, 3), st.integers(254, 300))  # ties and wide fields
+    monomials = st.lists(st.tuples(st.integers(1, 4), exponents), max_size=3).map(
+        lambda pairs: tuple(sorted(dict(pairs).items())))
+    polys = st.dictionaries(monomials, coefficients, max_size=6).map(lambda t: Poly(4, t))
+    points = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                      min_size=4, max_size=4)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(polys, points)
+    def check(p, point):
+        _check_order_and_value(p, point)
+        _check_order_and_value(p * Fraction(1, 3), point)  # starts packed
+
+    check()
