@@ -11,13 +11,12 @@ and cancellation are exact by construction.  Every Poly carries an upper
 bound on its largest exponent; an operation whose result could outgrow a
 field repacks its operands into wider fields first, so exponents never wrap.
 
-``Poly.terms`` is the read-only view {monomial: Fraction}, where a monomial
-is a tuple of (variable, exponent) pairs with 1-based, strictly ascending
-variables and positive exponents, and the empty tuple is the constant
-monomial.  It is decoded on first read and then replaces the packed form;
-the next arithmetic packs it again.  A Poly holds one of the two forms at a
-time, and decoded (variable, exponent) pairs are interned, so reading the
-view of a large tensor does not double its memory.
+The packed form is the only one a Poly holds.  ``Poly.terms`` is a
+read-only view {monomial: Fraction} over it, where a monomial is a tuple of
+(variable, exponent) pairs with 1-based, strictly ascending variables and
+positive exponents, and the empty tuple is the constant monomial.  The view
+is decoded as it is read, never stored: counting its terms decodes nothing,
+and reading the view of a large tensor adds no copy of it.
 
 All sums of products, and with them ``*``, ``+``, ``-`` and ``**``, run
 through one kernel, ``sum_of_products``, which accumulates integers only and
@@ -32,15 +31,15 @@ computation.  No floating point arithmetic is used anywhere.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 Mono = tuple  # tuple[tuple[int, int], ...]
 Rational = Union[int, Fraction]
 
 _WIDTH = 8  # bits per exponent field, doubled while an exponent needs more
-_PAIRS: dict = {}  # the interned (variable, exponent) pairs of decoded monomials
 
 
 class PolyParseError(ValueError):
@@ -70,8 +69,7 @@ def _decode(m: int, width: int) -> Mono:
         low = (m & -m).bit_length() - 1
         shift = low - low % width
         exp = (m >> shift) & mask
-        pair = (shift // width + 1, exp)
-        out.append(_PAIRS.setdefault(pair, pair))
+        out.append((shift // width + 1, exp))
         m -= exp << shift
     return tuple(out)
 
@@ -115,14 +113,13 @@ class Poly:
     """A polynomial in Q[x1, ..., x{nvars}] with exact rational coefficients.
 
     Instances are treated as immutable: every operation returns a new Poly.
-    Arithmetic works on the packed form (denominator, {packed monomial:
-    numerator}, field width, exponent bound) described in the module
-    docstring.  ``terms`` is the decoded {monomial: Fraction} view; reading
-    it swaps the packed form for the view, and the next arithmetic swaps
-    back, so one Poly never holds both.  The view must never be mutated.
+    A Poly holds only the packed form (denominator, {packed monomial: numerator},
+    field width, exponent bound) described in the module docstring; the
+    constructor validates its {monomial: coefficient} terms and packs them
+    at once.  ``terms`` is the read-only {monomial: Fraction} view of it.
     """
 
-    __slots__ = ("nvars", "_terms", "_den", "_num", "_width", "_top")
+    __slots__ = ("nvars", "_den", "_num", "_width", "_top")
 
     def __init__(self, nvars: int, terms: Mapping[Mono, Rational] | None = None):
         _check_nvars(nvars)
@@ -143,23 +140,12 @@ class Poly:
                 clean[mono] = clean.get(mono, Fraction(0)) + c
                 if not clean[mono]:
                     del clean[mono]
-        self.nvars = nvars
-        self._terms = clean
-        self._num = None
-
-    def _pack(self) -> "Poly":
-        """Switch to the packed form, dropping the decoded view; returns self."""
-        if self._num is None:
-            terms = self._terms
-            den = lcm(*(c.denominator for c in terms.values()))
-            top = max((e for mono in terms for _, e in mono), default=0)
-            width = _width_for(top)
-            self._num = {
-                _encode(mono, width): c.numerator * (den // c.denominator)
-                for mono, c in terms.items()
-            }
-            self._den, self._width, self._top, self._terms = den, width, top, None
-        return self
+        den = lcm(*(c.denominator for c in clean.values()))
+        top = max((e for mono in clean for _, e in mono), default=0)
+        width = _width_for(top)
+        self.nvars, self._den, self._width, self._top = nvars, den, width, top
+        self._num = {_encode(mono, width): c.numerator * (den // c.denominator)
+                     for mono, c in clean.items()}
 
     def _num_at(self, width: int) -> dict:
         """The packed numerators with fields ``width`` bits wide (>= own width)."""
@@ -167,20 +153,10 @@ class Poly:
             return self._num
         return {_encode(_decode(m, self._width), width): c for m, c in self._num.items()}
 
-    def _items(self) -> Iterable[tuple[Mono, Fraction]]:
-        """(monomial, coefficient) pairs of whichever form is held, converting nothing."""
-        if self._num is None:
-            return self._terms.items()
-        width, den = self._width, self._den
-        return ((_decode(m, width), Fraction(c, den)) for m, c in self._num.items())
-
     @property
-    def terms(self) -> dict:
-        """The read-only {monomial: Fraction} view; replaces the packed form."""
-        if self._terms is None:
-            self._terms = dict(self._items())
-            self._num = None
-        return self._terms
+    def terms(self) -> Mapping[Mono, Fraction]:
+        """The read-only {monomial: Fraction} view, decoded as it is read, never stored."""
+        return _Terms(self)
 
     # ----- constructors -------------------------------------------------
 
@@ -201,12 +177,11 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._terms if self._num is None else self._num)
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        num = self._pack()._num
-        return not num or (len(num) == 1 and 0 in num)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if non-constant."""
@@ -217,12 +192,12 @@ class Poly:
     @property
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((_mono_degree(m) for m, _ in self._items()), default=0)
+        return max((_mono_degree(m) for m, _ in self.terms.items()), default=0)
 
     def sorted_terms(self) -> list:
         """(monomial, coefficient) pairs in descending graded-lex order: degree
         first, then lex on x1 > x2 > ..., hence the negated variable index."""
-        return sorted(self._items(), reverse=True,
+        return sorted(self.terms.items(), reverse=True,
                       key=lambda kv: (_mono_degree(kv[0]), [(-v, e) for v, e in kv[0]]))
 
     # ----- ring operations ----------------------------------------------
@@ -260,10 +235,8 @@ class Poly:
         return (-self)._combine(other, 1)
 
     def __neg__(self) -> "Poly":
-        p = self._pack()
-        return _from_packed(
-            p.nvars, p._den, {m: -c for m, c in p._num.items()}, p._width, p._top
-        )
+        num = {m: -c for m, c in self._num.items()}
+        return _from_packed(self.nvars, self._den, num, self._width, self._top)
 
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -295,9 +268,8 @@ class Poly:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        a, b = self._pack(), other._pack()
-        width = max(a._width, b._width)
-        return a._den == b._den and a._num_at(width) == b._num_at(width)
+        width = max(self._width, other._width)
+        return self._den == other._den and self._num_at(width) == other._num_at(width)
 
     __hash__ = None  # mutable-dict backed; polynomials are not hashable
 
@@ -307,15 +279,14 @@ class Poly:
         """Partial derivative with respect to x{var} (1-based)."""
         if not (1 <= var <= self.nvars):
             raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
-        p = self._pack()
-        shift, mask = p._width * (var - 1), (1 << p._width) - 1
+        shift, mask = self._width * (var - 1), (1 << self._width) - 1
         unit = 1 << shift
         num = {}
-        for m, c in p._num.items():
+        for m, c in self._num.items():
             e = (m >> shift) & mask
             if e:
                 num[m - unit] = c * e
-        return _reduced(p.nvars, p._den, num, p._width, p._top)
+        return _reduced(self.nvars, self._den, num, self._width, self._top)
 
     def exact_quotient(self, divisor: "Poly") -> "Poly":
         """The q with q * divisor == self; ValueError when there is none.
@@ -325,15 +296,17 @@ class Poly:
         bounds summed plus a spare top bit: one subtraction tests that the
         next quotient monomial exists and stays within this Poly's bound.
         """
-        p, d = self._pack(), self._coerce(divisor)._pack()
+        d = self._coerce(divisor)
+        if d is None:
+            raise TypeError(f"cannot divide a polynomial by {type(divisor).__name__}")
         if d.is_zero:
             raise ValueError("division by the zero polynomial")
         if d.is_constant:
-            return p * (1 / d.constant_value())
-        width = _width_for((p._top + d._top) << 1)
-        ones = sum(1 << width * v for v in range(p.nvars))
-        spare, bound = ones << width - 1, p._top * ones
-        rem, div = dict(p._num_at(width)), d._num_at(width)
+            return self * (1 / d.constant_value())
+        width = _width_for((self._top + d._top) << 1)
+        ones = sum(1 << width * v for v in range(self.nvars))
+        spare, bound = ones << width - 1, self._top * ones
+        rem, div = dict(self._num_at(width)), d._num_at(width)
         lead = max(div)
         quo, scale, lc = {}, 1, div[lead]
         while rem:
@@ -352,7 +325,7 @@ class Poly:
                 if v:
                     rem[t + m2] = v
         num = {m: v * d._den for m, v in quo.items()}
-        return _reduced(p.nvars, p._den * scale, num, width, p._top)
+        return _reduced(self.nvars, self._den * scale, num, width, self._top)
 
     def __call__(self, point: Sequence[Rational]) -> Fraction:
         """The value at a rational point of all nvars coordinates, by ``set_vars``."""
@@ -362,10 +335,9 @@ class Poly:
 
     def set_vars(self, values: Mapping[int, Rational]) -> "Poly":
         """Substitute constants for some variables, leaving the rest intact."""
-        p = self._pack()
-        width, top = p._width, p._top
+        width, top = self._width, self._top
         mask = (1 << width) - 1
-        den = p._den
+        den = self._den
         fixed = []
         for var, value in values.items():
             if not (1 <= var <= self.nvars):
@@ -376,7 +348,7 @@ class Poly:
             fixed.append((width * (var - 1), value.numerator, value.denominator))
             den *= value.denominator ** top
         num: dict[int, int] = {}
-        for m, c in p._num.items():
+        for m, c in self._num.items():
             for shift, a, b in fixed:
                 e = (m >> shift) & mask
                 c *= a ** e if b == 1 else a ** e * b ** (top - e)
@@ -401,7 +373,7 @@ class Poly:
             if not (1 <= var <= self.nvars):
                 raise ValueError(f"variable index {var} out of range 1..{self.nvars}")
         pairs = []
-        for mono, coeff in self._items():
+        for mono, coeff in self.terms.items():
             term = Poly.constant(1, target)
             for var, exp in mono:
                 if var in images:
@@ -418,16 +390,15 @@ class Poly:
     def with_nvars(self, nvars: int) -> "Poly":
         """Reinterpret in Q[x1..x{nvars}]; shrinking checks no variable is lost."""
         _check_nvars(nvars)
-        p = self._pack()
-        if nvars < p.nvars:
-            limit = p._width * nvars
-            for m in p._num:
+        if nvars < self.nvars:
+            limit = self._width * nvars
+            for m in self._num:
                 if m >> limit:
-                    var = _decode(m >> limit, p._width)[0][0] + nvars
+                    var = _decode(m >> limit, self._width)[0][0] + nvars
                     raise ValueError(
                         f"cannot restrict to {nvars} variables: term uses x{var}"
                     )
-        return _from_packed(nvars, p._den, p._num, p._width, p._top)
+        return _from_packed(nvars, self._den, self._num, self._width, self._top)
 
     # ----- printing and parsing -------------------------------------------
 
@@ -449,11 +420,43 @@ class Poly:
         return _Parser(text, nvars).run()
 
 
+class _Terms(Mapping):
+    """The read-only {monomial: Fraction} view of a Poly, decoded as it is read.
+
+    Nothing decoded is kept.  A lookup scans ``items()``, so a monomial whose
+    exponents overflow the packed fields cannot alias another."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        width = self._poly._width
+        return (_decode(m, width) for m in self._poly._num)
+
+    def items(self) -> Iterable[tuple[Mono, Fraction]]:
+        """(monomial, coefficient) pairs, decoded one at a time."""
+        width, den = self._poly._width, self._poly._den
+        return ((_decode(m, width), Fraction(c, den)) for m, c in self._poly._num.items())
+
+    def __getitem__(self, mono) -> Fraction:
+        for m, c in self.items():
+            if m == mono:
+                return c
+        raise KeyError(mono)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 def _from_packed(nvars: int, den: int, num: dict, width: int, top: int) -> Poly:
     """A Poly from a packed form that is already canonical."""
     p = object.__new__(Poly)
-    p.nvars, p._terms = nvars, None
-    p._den, p._num, p._width, p._top = den, num, width, top
+    p.nvars, p._den, p._num, p._width, p._top = nvars, den, num, width, top
     return p
 
 
@@ -622,13 +625,7 @@ def _sum_of_products(pairs: Iterable[tuple[Poly, Poly]], nvars: int) -> Poly:
     for p, q in pairs:
         if p.nvars != nvars or q.nvars != nvars:
             raise ValueError("sum_of_products operands live in different rings")
-        a = p._num
-        if a is None:
-            a = p._pack()._num
-        b = q._num
-        if b is None:
-            b = q._pack()._num
-        if a and b:
+        if p._num and q._num:
             d = p._den * q._den
             if den % d:
                 den = lcm(den, d)

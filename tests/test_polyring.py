@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -10,8 +11,9 @@ import pytest
 
 from haantjes import polyring
 from haantjes.polyring import Poly, PolyParseError, RationalMatrix, sum_of_products
+from haantjes.torsion import tensor_t
 
-from conftest import random_poly
+from conftest import random_operator, random_poly
 from reference import evaluate_term_by_term, grlex_cmp
 
 
@@ -478,17 +480,56 @@ def test_kernel_results_stay_usable_after_terms_is_read():
         assert result.terms == terms  # the operands were not changed
 
 
-def test_a_poly_holds_one_representation_at_a_time():
+def test_terms_is_a_view_that_leaves_the_packed_form_alone(monkeypatch):
     p = Poly.parse("1/2*x1^2*x3 - x2 + 3", 3)
-    assert p._num is not None and p._terms is None
+    num = p._num
+    expected = {((1, 2), (3, 1)): Fraction(1, 2), ((2, 1),): -1, (): 3}
     view = p.terms
-    assert p._num is None and view is p.terms
-    q = p * p
-    assert p._terms is None and q._terms is None
-    # decoded (variable, exponent) pairs are interned: both views share one (2, 2)
-    a, b = Poly.parse("x1*x2^2 + x3", 3).terms, Poly.parse("x2^2 - x1", 3).terms
-    assert a[((1, 1), (2, 2))] == 1 and b[((2, 2),)] == 1
-    assert next(iter(m for m in a if len(m) == 2))[1] is next(iter(m for m in b if m == ((2, 2),)))[0]
+    assert len(view) == 3 and view and not Poly.zero(3).terms
+    assert sorted(view) == sorted(expected) and dict(view.items()) == expected
+    assert view[((2, 1),)] == -1 and ((1, 1),) not in view and view.get(((1, 1),)) is None
+    assert dict(view) == expected and view == expected and expected == view
+    assert p._num is num and p == Poly(3, expected)
+    # counting decodes nothing
+    monkeypatch.setattr(polyring, "_decode", lambda m, width: pytest.fail("decoded"))
+    assert len(p.terms) == 3 and p.terms and not Poly.zero(3).terms
+
+
+def test_terms_lookup_does_not_alias_an_overflowing_monomial():
+    # x1^300 packed into 8-bit fields would read as x1^44*x2
+    p = Poly.parse("x1^44*x2", 2)
+    assert p._width == 8
+    with pytest.raises(KeyError):
+        p.terms[((1, 300),)]
+    assert ((1, 300),) not in p.terms and p.terms[((1, 44), (2, 1))] == 1
+
+
+def test_terms_is_read_only():
+    p, q = Poly.parse("x1", 1), Poly.parse("x1 + 1", 1)
+    with pytest.raises(TypeError):
+        p.terms[()] = 0
+    with pytest.raises(AttributeError):
+        q.terms.clear()
+    assert p == Poly.parse("x1", 1) and str(p) == "x1"
+    assert q == Poly.parse("x1 + 1", 1) and str(q) == "x1 + 1"
+
+
+def test_the_views_of_a_tensor_keep_no_decoded_copy():
+    T = tensor_t(random_operator(random.Random(69), 4, max_degree=1))
+    comps = [c for plane in T.comps for col in plane for c in col]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        views = [c.terms for c in comps]
+        for view in views:  # read every view in every way
+            assert len(list(view)) == len(dict(view.items())) == len(view)
+            assert all(mono in view for mono in list(view)[:1])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a view costs a few dozen bytes; a decoded copy, hundreds per term
+    assert sum(len(view) for view in views) > 100 * len(views)
+    assert retained < 256 * len(views)
 
 
 def test_exponent_fields_widen_instead_of_wrapping():
@@ -576,6 +617,16 @@ def test_exact_quotient_rejects_what_does_not_divide():
         x1.exact_quotient(Poly.zero(2))
     with pytest.raises(ValueError, match="zero polynomial"):
         Poly.zero(2).exact_quotient(Poly.zero(2))
+
+
+def test_exact_quotient_rejects_a_divisor_that_is_not_a_polynomial():
+    p = Poly.parse("x1^2", 2)
+    for divisor in ("x1", 2.0, None):
+        with pytest.raises(TypeError, match=type(divisor).__name__):
+            p.exact_quotient(divisor)
+    assert p.exact_quotient(2) == p.exact_quotient(Fraction(4, 2)) == Poly.parse("1/2*x1^2", 2)
+    with pytest.raises(ValueError, match="mixing polynomials"):
+        p.exact_quotient(Poly.variable(1, 3))
 
 
 def test_zero_divided_by_anything_is_zero():
