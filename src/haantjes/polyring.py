@@ -423,8 +423,8 @@ class Poly:
 class _Terms(Mapping):
     """The read-only {monomial: Fraction} view of a Poly, decoded as it is read.
 
-    Nothing decoded is kept.  A lookup scans ``items()``, so a monomial whose
-    exponents overflow the packed fields cannot alias another."""
+    Nothing decoded is kept.  A lookup packs only a sorted monomial whose
+    exponents fit the fields, so one that would overflow them cannot alias another."""
 
     __slots__ = ("_poly",)
 
@@ -444,10 +444,17 @@ class _Terms(Mapping):
         return ((_decode(m, width), Fraction(c, den)) for m, c in self._poly._num.items())
 
     def __getitem__(self, mono) -> Fraction:
-        for m, c in self.items():
-            if m == mono:
-                return c
-        raise KeyError(mono)
+        p, last = self._poly, 0
+        if not isinstance(mono, tuple):
+            raise KeyError(mono)
+        for pair in mono:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(x, int) for x in pair)
+                    and last < pair[0] <= p.nvars and 0 < pair[1] < 1 << p._width):
+                raise KeyError(mono)
+            last = pair[0]
+        if (c := p._num.get(_encode(mono, p._width))) is None:
+            raise KeyError(mono)
+        return Fraction(c, p._den)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))

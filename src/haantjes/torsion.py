@@ -11,9 +11,12 @@ stored tensor:
     T^(m)(xi, eta) = L^2 T^(m-1)(xi, eta) + T^(m-1)(L xi, L eta)
                      - L T^(m-1)(L xi, eta) - L T^(m-1)(xi, L eta).
 
-Level 1 is the Nijenhuis torsion, level 2 the classical Haantjes torsion.
-The Froelicher-Nijenhuis bracket of two operator fields and its levels
-follow the same pattern with an eight-term scheme.
+Level 1 is the Nijenhuis torsion, level 2 the classical Haantjes torsion.  With
+L_out = L on the upper slot, R_j T = T(L xi, eta) and R_k T = T(xi, L eta), three
+commuting operators, the step is (L_out - R_j)(L_out - R_k): the binomial form of
+Tempesta and Tondo, "Higher Haantjes brackets and integrability" (Commun. Math.
+Phys. 2022).  The Froelicher-Nijenhuis bracket of two operator fields and its
+levels follow with an eight-term scheme that factors the same way.
 
 Every tensor here is a contraction of the 1-jet of its operators, the
 entries L^i_j and their first derivatives d_k L^i_j, in
@@ -35,7 +38,6 @@ from .geometry import (
     Tensor12,
     as_point,
     contract,
-    contract_lower_j,
     contract_upper,
 )
 
@@ -71,25 +73,13 @@ def _first_terms(D: Tensor12, Dt: Tensor12, A: tuple) -> list:
     return [(Dt, A, LOWER_J), (Dt, minus_A, UPPER), (D, minus_A, LOWER_K), (D, A, UPPER)]
 
 
-def _step_terms(T: Tensor12, A: tuple, B: tuple) -> list:
-    """The four terms of one recursion step for the ordered pair (A, B),
-    each given as (operator, its negative, T(operator xi, eta)):
-
-        A B T(xi, eta) + T(A xi, B eta) - B T(A xi, eta) - A T(xi, B eta).
-
-    T is a 2-form: -A T(xi, B eta) = A T(B eta, xi), the transposed T(B xi, eta).
-    """
-    (A, minus_A, jA), (B, minus_B, jB) = A, B
-    return [
-        (contract((T, B, UPPER), antisymmetric=True), A, UPPER),
-        (jA, B, LOWER_K),
-        (jA, minus_B, UPPER),
-        (_transposed(jB), A, UPPER),
-    ]
+def _half_step(T: Tensor12, A: OperatorField) -> Tensor12:
+    """(A_out - R^A_j) T = A T(xi, eta) - T(A xi, eta), not a 2-form: all n^3 components."""
+    return contract((T, A, UPPER), (T, -A, LOWER_J))
 
 
 def _two_form(T: Tensor12) -> None:
-    """ValueError unless T^i_{jk} = -T^i_{kj}, which ``_step_terms`` relies on."""
+    """ValueError unless T^i_{jk} = -T^i_{kj}, as the steps' ``antisymmetric=True`` needs."""
     c, r = T.comps, range(T.dim)
     for a, b in ((c[i][j][k], c[i][k][j]) for i in r for j in r for k in range(j, T.dim)):
         if not (a.is_zero and b.is_zero) and a != -b:
@@ -109,16 +99,15 @@ def nijenhuis(L: OperatorField, at=None) -> Tensor12:
 
 
 def torsion_step(T: Tensor12, L: OperatorField) -> Tensor12:
-    """One level of the torsion recursion, as slotwise contractions with L.
+    """One level of the torsion recursion, T' = (L_out - R_j)(L_out - R_k) T.
 
-    Given the components of the previous level, T(L xi, eta) is the lower-j
-    contraction, T(xi, L eta) = -T(L eta, xi) its negated transpose, and the
-    outer L's act on the upper slot; no derivatives of L enter at this stage.
-    T must be a 2-form, as every level is; ValueError otherwise.
+    L_out is L on the upper slot, R_j T = T(L xi, eta), R_k T = T(xi, L eta);
+    the three commute (Tempesta and Tondo, Commun. Math. Phys. 2022), and no
+    derivatives of L enter.  T must be a 2-form, as every level is; ValueError otherwise.
     """
     _two_form(T)
-    L = (L, -L, contract_lower_j(T, L))
-    return contract(*_step_terms(T, L, L), antisymmetric=True)
+    U = _half_step(T, L)
+    return contract((U, L, UPPER), (U, -L, LOWER_K), antisymmetric=True)
 
 
 def torsion_level(L: OperatorField, level: int, at=None) -> Tensor12:
@@ -157,14 +146,17 @@ def fn_bracket_step(T: Tensor12, K: OperatorField, L: OperatorField) -> Tensor12
         T'(xi, eta) = K L T(xi, eta) + T(K xi, L eta)
                       - L T(K xi, eta) - K T(xi, L eta)
                       + L K T(xi, eta) + T(L xi, K eta)
-                      - K T(L xi, eta) - L T(xi, K eta).
+                      - K T(L xi, eta) - L T(xi, K eta)
+                    = (L_out - R^L_k)(K_out - R^K_j) T + (K_out - R^K_k)(L_out - R^L_j) T,
 
-    With K = L it collapses to twice the torsion step; T must be a 2-form.
+    factored as in ``torsion_step``.  Neither summand is a 2-form, but their
+    sum is.  With K = L it collapses to twice the torsion step; T must be a 2-form.
     """
     K._check_compatible(L)
     _two_form(T)
-    K, L = (K, -K, contract_lower_j(T, K)), (L, -L, contract_lower_j(T, L))
-    return contract(*_step_terms(T, K, L), *_step_terms(T, L, K), antisymmetric=True)
+    UK, UL = _half_step(T, K), _half_step(T, L)
+    return contract((UK, L, UPPER), (UK, -L, LOWER_K), (UL, K, UPPER), (UL, -K, LOWER_K),
+                    antisymmetric=True)
 
 
 def fn_bracket_level(K: OperatorField, L: OperatorField, level: int, at=None) -> Tensor12:

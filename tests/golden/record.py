@@ -1,8 +1,12 @@
-"""Record the golden CLI outputs replayed by ``tests/test_cli.py``.
+"""Record the golden data replayed by ``tests/test_cli.py`` and
+``tests/test_structure.py``.
 
-Every case runs ``haantjes.cli.main`` in process from the repository root
-and stores its argv, exit code, stdout and stderr in ``cli.json`` next to
-this script.  Re-record only when a change of output is intended:
+Every CLI case runs ``haantjes.cli.main`` in process from the repository
+root and stores its argv, exit code, stdout and stderr in ``cli.json`` next
+to this script.  ``minors.json`` holds the answers of the minors reference
+in ``tests/reference.py`` on the cases where its cofactor expansions are too
+slow to rerun on every test run.  Re-record only when a change of output
+is intended:
 
     PYTHONPATH=src python tests/golden/record.py
 """
@@ -13,12 +17,17 @@ import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 from haantjes.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "cli.json"
+MINORS = Path(__file__).resolve().parent / "minors.json"
+
+# (n, seed) of the conjugated blocks whose minors answers are recorded
+MINORS_CASES = ((5, 5),)
 
 DIMS = {"dim2a": 2, "dim2b": 2, "ex1": 4, "ex2": 3, "ex3": 3, "ex4": 4, "ex5": 4}
 POINTS = {2: "1,2", 3: "1,2,-1", 4: "1,-1,2,1/2"}
@@ -75,11 +84,31 @@ def run(argv: list[str]) -> dict:
             "stderr": stderr.getvalue()}
 
 
+def minors() -> list[dict]:
+    """The minors reference's generators and Frobenius verdict for every k of
+    each case in ``MINORS_CASES``."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from reference import conjugated_block, image_flag_by_minors, is_integrable_by_minors
+
+    out = []
+    for n, seed in MINORS_CASES:
+        L = conjugated_block(n, seed)
+        for k in range(1, n):
+            D = image_flag_by_minors(L, k)
+            out.append({"case": f"conjugated_block({n}, {seed})", "k": k,
+                        "generators": [str(g) for g in D.generators],
+                        "integrable": is_integrable_by_minors(D)})
+    return out
+
+
 def record() -> None:
     os.chdir(ROOT)
     doc = [run(argv) for argv in cases()]
     GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"recorded {len(doc)} cases in {GOLDEN.relative_to(ROOT)}")
+    doc = minors()
+    MINORS.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(doc)} cases in {MINORS.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

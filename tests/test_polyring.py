@@ -504,6 +504,22 @@ def test_terms_lookup_does_not_alias_an_overflowing_monomial():
     assert ((1, 300),) not in p.terms and p.terms[((1, 44), (2, 1))] == 1
 
 
+def test_terms_lookups_decode_linearly_and_reject_malformed_keys(monkeypatch):
+    p = Poly.parse("(1 + x1 - 2*x2 + 1/3*x3)^5", 3)
+    expected, n = dict(p.terms.items()), len(p.terms)
+    decode, calls = polyring._decode, []
+    monkeypatch.setattr(polyring, "_decode", lambda m, width: calls.append(m) or decode(m, width))
+    assert dict(p.terms) == expected and len(calls) <= 2 * n
+    calls.clear()
+    assert list(p.terms.values()) == list(expected.values()) and len(calls) <= 2 * n
+    # unsorted, repeated, zero-exponent, out-of-range or non-integer keys are
+    # absent, never aliases of a stored monomial and never a TypeError
+    for key in (((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 0),), ((0, 1),), ((4, 1),),
+                ((1, 1.0),), ((1, 1, 1),), [(1, 1)], ([1, 1],), "x1", None):
+        assert key not in p.terms
+    assert ((1, 2),) in p.terms and ((1, 1), (2, 1)) in p.terms
+
+
 def test_terms_is_read_only():
     p, q = Poly.parse("x1", 1), Poly.parse("x1 + 1", 1)
     with pytest.raises(TypeError):

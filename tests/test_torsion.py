@@ -211,14 +211,32 @@ def test_steps_reject_a_tensor_that_is_not_antisymmetric():
             fn_bracket_step(T, K, L)
 
 
-def _generated_operators(st, n: int):
-    """Operators on Q^n whose entries have at most two terms of degree <= 2."""
+def _generated_polys(st, n: int):
+    """Polynomials in x1..xn with at most two terms of degree <= 2."""
     monomials = st.lists(st.integers(1, n), max_size=2).map(
         lambda vs: tuple((v, vs.count(v)) for v in sorted(set(vs)))
     )
-    polys = st.dictionaries(monomials, st.integers(-3, 3), max_size=2).map(lambda t: Poly(n, t))
-    rows = st.lists(polys, min_size=n, max_size=n)
+    return st.dictionaries(monomials, st.integers(-3, 3), max_size=2).map(lambda t: Poly(n, t))
+
+
+def _generated_operators(st, n: int):
+    """Operators on Q^n whose entries are ``_generated_polys``."""
+    rows = st.lists(_generated_polys(st, n), min_size=n, max_size=n)
     return st.lists(rows, min_size=n, max_size=n).map(lambda m: OperatorField(m, nvars=n))
+
+
+def _generated_two_forms(st, n: int):
+    """Vector-valued 2-forms on Q^n: generated components for j < k, their
+    negatives for j > k, zero on the diagonal."""
+    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+
+    def two_form(polys):
+        c = [[[Poly.zero(n)] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), p in zip(slots, polys):
+            c[i][j][k], c[i][k][j] = p, -p
+        return Tensor12(c, nvars=n)
+
+    return st.lists(_generated_polys(st, n), min_size=len(slots), max_size=len(slots)).map(two_form)
 
 
 def _operator_tuples(st, size: int):
@@ -254,6 +272,30 @@ def test_bracket_is_symmetric_and_additive_on_generated_operators():
             assert fn_bracket_level(K, L1, m) == T
         parts = [(1, fn_bracket_direct(K, L1)), (1, fn_bracket_direct(K, L2))]
         assert fn_bracket(K, L1 + L2) == combine(*parts)
+
+    check()
+
+
+def test_steps_equal_the_full_reference_on_generated_2_forms():
+    """The factored steps need only that T is a 2-form, not that it is a level
+    of some operator; ``reference`` steps every component of any T."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    cases = st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            _generated_two_forms(st, n), _generated_operators(st, n), _generated_operators(st, n)
+        )
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(cases)
+    def check(case):
+        T, K, L = case
+        hypothesis.assume(K != L)
+        assert torsion_step(T, L) == torsion_step_full(T, L)
+        bracket = fn_bracket_step_full(T, K, L)
+        assert fn_bracket_step(T, K, L) == bracket and fn_bracket_step(T, L, K) == bracket
 
     check()
 
