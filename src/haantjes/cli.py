@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .geometry import OperatorField, load_operator
+from .geometry import OperatorField, component_label, load_operator
 from .linearizer import (
     cond3_system,
     default_candidates,
@@ -96,7 +96,7 @@ def _emit_tensor(headline: str, meta: dict, tensor_at, dim: int, args) -> int:
         else:
             print(f"{headline}{where}: {len(components)} nonzero components")
             for c in components:
-                print(f"S^{c['i']}_{{{c['j']},{c['k']}}} = {c['value']}")
+                print(f"{component_label(c['i'], c['j'], c['k'])} = {c['value']}")
     return EX_OK if zero else 1
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Mapping, Sequence, Union
 
-from .polyring import Poly, RationalMatrix, sum_of_products
+from .polyring import Poly, RationalMatrix, format_table, sum_of_products
 
 Rational = Union[int, Fraction]
 
@@ -35,6 +35,11 @@ def as_point(point: Sequence[Rational], dim: int) -> tuple[Fraction, ...]:
     if len(values) != dim:
         raise ValueError(f"point has {len(values)} coordinates, expected {dim}")
     return values
+
+
+def component_label(i: int, j: int, k: int) -> str:
+    """The name ``S^i_{j,k}`` of a tensor component, 1-based."""
+    return f"S^{i}_{{{j},{k}}}"
 
 
 def _as_poly(value, nvars: int) -> Poly:
@@ -169,12 +174,6 @@ class OperatorField:
             rows.append(row)
         return cls(rows, nvars=nv)
 
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]], nvars: int | None = None) -> "OperatorField":
-        dim = len(rows)
-        nv = nvars or dim
-        return cls([[Poly.parse(s, nv) for s in row] for row in rows], nvars=nv)
-
     # ----- queries -----------------------------------------------------------
 
     @property
@@ -290,12 +289,7 @@ class OperatorField:
         )
 
     def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
-        widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
-            for row in cells
-        )
+        return format_table([[str(e) for e in row] for row in self.entries])
 
     def __repr__(self) -> str:
         return f"OperatorField(dim={self.dim}, nvars={self.nvars})"
@@ -380,7 +374,7 @@ class Tensor12:
         nz = self.nonzero_components()
         if not nz:
             return "0"
-        return "\n".join(f"S^{i}_{{{j},{k}}} = {val}" for (i, j, k), val in nz)
+        return "\n".join(f"{component_label(*ijk)} = {val}" for ijk, val in nz)
 
     def __repr__(self) -> str:
         return f"Tensor12(dim={self.dim}, nvars={self.nvars})"
@@ -482,29 +476,6 @@ class AffineChange:
         if len(shift) != self.dim:
             raise ValueError(f"shift has length {len(shift)}, expected {self.dim}")
         self.shift = tuple(Fraction(s) for s in shift)
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineChange":
-        return cls(RationalMatrix.identity(dim).rows)
-
-    def apply_point(self, point: Sequence[Rational]) -> tuple[Fraction, ...]:
-        image = self.matrix.mul_vector(point)
-        return tuple(a + b for a, b in zip(image, self.shift))
-
-    def inverse(self) -> "AffineChange":
-        """The inverse map x = M^{-1} y - M^{-1} b."""
-        back_shift = self.inverse_matrix.mul_vector(self.shift)
-        return AffineChange(self.inverse_matrix.rows, [-s for s in back_shift])
-
-    def compose(self, other: "AffineChange") -> "AffineChange":
-        """self o other: first apply ``other``, then ``self``."""
-        if self.dim != other.dim:
-            raise ValueError("affine changes act on different spaces")
-        matrix = self.matrix @ other.matrix
-        shift = tuple(
-            a + b for a, b in zip(self.matrix.mul_vector(other.shift), self.shift)
-        )
-        return AffineChange(matrix.rows, shift)
 
     def _substitution(self, nvars: int) -> dict[int, Poly]:
         """Polynomials for x_r in terms of the new coordinates y (named x again)."""

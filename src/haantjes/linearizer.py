@@ -34,11 +34,12 @@ from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .geometry import (
     OperatorField,
     Tensor12,
+    component_label,
     contract_lower_j,
     contract_lower_k,
     contract_upper,
@@ -71,35 +72,6 @@ class ParamOperator:
     operator: OperatorField
     dim: int
     include_eigenvalue: bool
-
-    @property
-    def unknown_count(self) -> int:
-        return len(_unknown_columns(self.dim, self.include_eigenvalue))
-
-    def specialize(
-        self,
-        coefficients: Mapping[tuple[int, int, int], Rational],
-        eigenvalue: Mapping[int, Rational] | None = None,
-    ) -> OperatorField:
-        """Substitute numbers for all unknowns (unset ones become 0).
-
-        The result is an honest operator field on Q^dim again.
-        """
-        columns = _unknown_columns(self.dim, self.include_eigenvalue)
-        values = {
-            var: Fraction(0)
-            for var in range(self.dim + 1, self.operator.nvars + 1)
-        }
-        lams = (((k,), value) for k, value in (eigenvalue or {}).items())
-        for key, value in [*coefficients.items(), *lams]:
-            if key not in columns:
-                raise ValueError(f"{_unknown_name(key)} is not an unknown of this family")
-            values[self.dim + 1 + columns[key]] = Fraction(value)
-        plain = self.operator.set_vars(values)
-        return OperatorField(
-            [[e.with_nvars(self.dim) for e in row] for row in plain.entries],
-            nvars=self.dim,
-        )
 
 
 def build_linearized(n: int, include_eigenvalue: bool = False) -> ParamOperator:
@@ -236,14 +208,15 @@ def _linear_forms(S: Tensor12) -> list[tuple[str, dict[int, Fraction]]]:
     by name.
     """
     n = S.dim
-    origin = dict.fromkeys(range(1, n + 1), 0)
     forms = []
     for i, j, k in product(range(n), repeat=3):
-        label = f"S^{i + 1}_{{{j + 1},{k + 1}}}"
-        value = S.comps[i][j][k].set_vars(origin)
-        form = {}
-        for mono, coeff in value.terms.items():
-            if len(mono) != 1 or mono[0][1] != 1 or mono[0][0] <= n:
+        label = component_label(i + 1, j + 1, k + 1)
+        component, form = S.comps[i][j][k], {}
+        for mono, coeff in component.terms.items():
+            if mono and mono[0][0] <= n:  # a term with a coordinate vanishes at x = 0
+                continue
+            if len(mono) != 1 or mono[0][1] != 1:
+                value = component.set_vars(dict.fromkeys(range(1, n + 1), 0))
                 raise ValueError(
                     f"component {label} is not a linear form in the coefficients: {value}"
                 )

@@ -109,6 +109,14 @@ def format_signed_sum(terms: Iterable[tuple[Rational, str]]) -> str:
     return "".join(chunks) if chunks else "0"
 
 
+def format_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells as ``[ a  b ]`` lines, each column right-aligned to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]" for row in rows
+    )
+
+
 class Poly:
     """A polynomial in Q[x1, ..., x{nvars}] with exact rational coefficients.
 
@@ -188,11 +196,6 @@ class Poly:
         if self.is_constant:
             return Fraction(self._num.get(0, 0), self._den)
         raise ValueError(f"polynomial {self} is not constant")
-
-    @property
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((_mono_degree(m) for m, _ in self.terms.items()), default=0)
 
     def sorted_terms(self) -> list:
         """(monomial, coefficient) pairs in descending graded-lex order: degree
@@ -386,19 +389,6 @@ class Poly:
                     term = term * Poly.variable(var, target) ** exp
             pairs.append((_scalar(coeff, target), term))
         return _sum_of_products(pairs, target)
-
-    def with_nvars(self, nvars: int) -> "Poly":
-        """Reinterpret in Q[x1..x{nvars}]; shrinking checks no variable is lost."""
-        _check_nvars(nvars)
-        if nvars < self.nvars:
-            limit = self._width * nvars
-            for m in self._num:
-                if m >> limit:
-                    var = _decode(m >> limit, self._width)[0][0] + nvars
-                    raise ValueError(
-                        f"cannot restrict to {nvars} variables: term uses x{var}"
-                    )
-        return _from_packed(nvars, self._den, self._num, self._width, self._top)
 
     # ----- printing and parsing -------------------------------------------
 
@@ -725,12 +715,7 @@ class RationalMatrix:
     def __str__(self) -> str:
         if not self.rows:
             return "[]"
-        cells = [[str(entry) for entry in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
-        lines = []
-        for row in cells:
-            lines.append("[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
+        return format_table([[str(entry) for entry in row] for row in self.rows])
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"

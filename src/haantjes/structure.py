@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .geometry import OperatorField, VectorField, as_point, lie_bracket
+from .geometry import OperatorField, VectorField, as_point, component_label, lie_bracket
 from .polyring import Poly, RationalMatrix, sum_of_products
 from .torsion import tensor_t, torsion_level
 
@@ -282,8 +282,8 @@ def verdict(L: OperatorField, points: Sequence[Sequence[Rational]] = ()) -> Verd
         zero = obstruction.is_zero
         kind = TRIANGULARIZABLE if zero else NOT_TRIANGULARIZABLE
         certificates = tuple(
-            {"component": f"S^{i}_{{{j},{k}}}", "value": str(value)}
-            for (i, j, k), value in obstruction.nonzero_components()[:3]
+            {"component": component_label(*ijk), "value": str(value)}
+            for ijk, value in obstruction.nonzero_components()[:3]
         )
         state = "vanishes identically" if zero else "has nonzero components"
         detail = f"the {obstruction_name} obstruction {state}"

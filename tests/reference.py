@@ -10,6 +10,10 @@ enumerations, on operators that ``conjugated_block`` draws.
 ``grlex_cmp`` and ``evaluate_term_by_term`` are the comparator and the
 Fraction loop behind ``Poly.sorted_terms`` and ``Poly.__call__``, where the
 library sorts by a key and evaluates through ``set_vars``.
+``total_degree``, ``apply_point`` and ``specialize`` are the test-only
+readings of a polynomial, an affine change and the linearized family: the
+degree of a polynomial, the image of a point, and the family with numbers
+put in for its unknowns.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from itertools import chain, combinations
 from haantjes.geometry import (
     LOWER_K,
     UPPER,
+    AffineChange,
     OperatorField,
     Tensor12,
     VectorField,
@@ -30,6 +35,7 @@ from haantjes.geometry import (
     contract_upper,
     lie_bracket,
 )
+from haantjes.linearizer import ParamOperator, _unknown_columns
 from haantjes.polyring import Poly, sum_of_products
 from haantjes.structure import Distribution
 from haantjes.torsion import torsion_level
@@ -74,6 +80,36 @@ def evaluate_term_by_term(p: Poly, point) -> Fraction:
             term *= vals[var - 1] ** exp
         total += term
     return total
+
+
+def total_degree(p: Poly) -> int:
+    """The largest degree of a term of p; 0 for the zero polynomial."""
+    return max((sum(e for _, e in mono) for mono in p.terms), default=0)
+
+
+# ----- affine changes and the linearized family ------------------------------
+
+
+def apply_point(phi: AffineChange, point) -> tuple[Fraction, ...]:
+    """The image M x + b of a point under the affine change y = M x + b."""
+    image = phi.matrix.mul_vector(point)
+    return tuple(a + b for a, b in zip(image, phi.shift))
+
+
+def specialize(family: ParamOperator, coefficients, eigenvalue=None) -> OperatorField:
+    """The family with numbers for its unknowns, as an operator field on Q^dim.
+
+    ``coefficients`` maps (i, j, k) to the value of a^i_{j;k} and
+    ``eigenvalue`` maps k to lam_k; every unknown not given is 0.
+    """
+    n = family.dim
+    columns = _unknown_columns(n, family.include_eigenvalue)
+    values = dict.fromkeys(range(n + 1, family.operator.nvars + 1), 0)
+    lams = (((k,), value) for k, value in (eigenvalue or {}).items())
+    for key, value in [*coefficients.items(), *lams]:
+        values[n + 1 + columns[key]] = value
+    plain = family.operator.set_vars(values)
+    return OperatorField([[Poly(n, e.terms) for e in row] for row in plain.entries], nvars=n)
 
 
 # ----- vector fields and tensors on coordinate fields ------------------------

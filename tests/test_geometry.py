@@ -34,7 +34,7 @@ from conftest import (
     random_poly,
     random_vector_field,
 )
-from reference import apply_operator, apply_tensor, basis_field, combine
+from reference import apply_operator, apply_point, apply_tensor, basis_field, combine
 
 
 # ----- vector fields and Lie brackets -----------------------------------------
@@ -122,7 +122,7 @@ def test_power_matches_repeated_composition():
 
 
 def test_trace_and_traceless_part():
-    l = OperatorField.from_strings([["x1", "x2"], ["0", "x1"]])
+    l = OperatorField([["x1", "x2"], ["0", "x1"]])
     assert l.trace() == Poly.parse("2*x1", 2)
     m = l.traceless_part()
     assert m.trace().is_zero
@@ -130,8 +130,13 @@ def test_trace_and_traceless_part():
     assert m.entry(1, 2) == Poly.variable(2, 2)
 
 
+def test_operator_prints_right_aligned_columns():
+    l = OperatorField([["x1", "0"], ["-1/2*x2 + 3", "x1^2"]])
+    assert str(l) == "[          x1     0 ]\n[ -1/2*x2 + 3  x1^2 ]"
+
+
 def test_column_extraction():
-    l = OperatorField.from_strings([["0", "x2"], ["1", "0"]])
+    l = OperatorField([["0", "x2"], ["1", "0"]])
     col1 = l.column(1)
     assert col1.component(1).is_zero and col1.component(2) == 1
 
@@ -253,26 +258,10 @@ def test_affine_change_requires_invertible_matrix():
         AffineChange(RationalMatrix([[1, 2], [2, 4]]))
 
 
-def test_affine_change_inverse_roundtrips_points():
-    rng = random.Random(21)
-    for _ in range(8):
-        phi = random_affine_change(rng, 3)
-        pt = random_point(rng, 3)
-        assert phi.inverse().apply_point(phi.apply_point(pt)) == pt
-
-
-def test_affine_compose_matches_sequential_application():
-    rng = random.Random(23)
-    phi = random_affine_change(rng, 2)
-    psi = random_affine_change(rng, 2)
-    pt = random_point(rng, 2)
-    assert psi.compose(phi).apply_point(pt) == psi.apply_point(phi.apply_point(pt))
-
-
 def test_pushforward_by_identity_is_identity():
     rng = random.Random(25)
     l = random_operator(rng, 3, max_degree=1)
-    assert AffineChange.identity(3).pushforward_operator(l) == l
+    assert AffineChange(RationalMatrix.identity(3).rows).pushforward_operator(l) == l
 
 
 def test_pushforward_operator_conjugates_pointwise():
@@ -282,7 +271,7 @@ def test_pushforward_operator_conjugates_pointwise():
         l = random_operator(rng, 3, max_degree=1)
         pt = random_point(rng, 3)
         m = phi.matrix
-        lhs = phi.pushforward_operator(l).evaluate(phi.apply_point(pt))
+        lhs = phi.pushforward_operator(l).evaluate(apply_point(phi, pt))
         rhs = m @ l.evaluate(pt) @ m.inverse()
         assert lhs == rhs
 
@@ -294,7 +283,7 @@ def test_pushforward_tensor_transforms_with_one_up_two_down():
     pt = random_point(rng, 2)
     m = phi.matrix
     minv = m.inverse()
-    pushed = phi.pushforward_tensor(s).evaluate(phi.apply_point(pt))
+    pushed = phi.pushforward_tensor(s).evaluate(apply_point(phi, pt))
     raw = s.evaluate(pt)
     n = 2
     for i in range(n):

@@ -14,7 +14,7 @@ from haantjes.polyring import Poly, PolyParseError, RationalMatrix, sum_of_produ
 from haantjes.torsion import tensor_t
 
 from conftest import random_operator, random_poly
-from reference import evaluate_term_by_term, grlex_cmp
+from reference import evaluate_term_by_term, grlex_cmp, total_degree
 
 
 # ----- construction and canonical form ---------------------------------------
@@ -38,7 +38,7 @@ def test_constant_and_variable_constructors():
     assert c.is_constant and c.constant_value() == Fraction(7, 2)
     x3 = Poly.variable(3, 4)
     assert str(x3) == "x3"
-    assert x3.total_degree == 1
+    assert total_degree(x3) == 1
     with pytest.raises(ValueError, match="not constant"):
         x3.constant_value()
 
@@ -156,14 +156,14 @@ def test_power_matches_repeated_multiplication(monkeypatch):
 
     def recording(pairs, nvars):
         pairs = list(pairs)
-        degrees.extend(a.total_degree + b.total_degree for a, b in pairs)
+        degrees.extend(total_degree(a) + total_degree(b) for a, b in pairs)
         return kernel(pairs, nvars)
 
     monkeypatch.setattr(polyring, "_sum_of_products", recording)
     for e, product in enumerate(products):
         degrees.clear()
         assert p ** e == product
-        assert max(degrees, default=0) <= e * p.total_degree, e
+        assert max(degrees, default=0) <= e * total_degree(p), e
 
 
 def test_nvars_mismatch_is_rejected():
@@ -224,22 +224,19 @@ def test_set_vars_freezes_a_subset_of_variables():
     assert p.set_vars({3: Fraction(2)}) == Poly.parse("2*x1 + x2", 3)
 
 
-def test_with_nvars_narrows_the_ring():
-    p = Poly.parse("x1 + x2", 3).with_nvars(2)
-    assert p.nvars == 2
-    assert p == Poly.parse("x1 + x2", 2)
-
-
-def test_with_nvars_rejects_a_ring_poly_rejects():
+def test_poly_rejects_a_ring_without_variables():
     for nvars in (0, -4, 2.5):
-        for p in (Poly.constant(3, 2), Poly.parse("x1 + x2", 2)):
-            with pytest.raises(ValueError, match="nvars must be a positive integer"):
-                p.with_nvars(nvars)
         with pytest.raises(ValueError, match="nvars must be a positive integer"):
             Poly(nvars)
 
 
 # ----- rational matrices ------------------------------------------------------
+
+
+def test_matrix_prints_right_aligned_columns():
+    m = RationalMatrix([[1, Fraction(-1, 2)], [-10, 3], [Fraction(7, 3), 0]])
+    assert str(m) == "[   1  -1/2 ]\n[ -10     3 ]\n[ 7/3     0 ]"
+    assert str(RationalMatrix.zero(0, 3)) == "[]"
 
 
 def test_rref_of_identity_is_identity():
@@ -439,7 +436,7 @@ def test_kernel_cancels_to_zero_exactly():
             assert result.is_zero and result == 0 and result == Poly.zero(3)
             assert str(result) == "0"
             assert result.terms == {}
-            assert result.total_degree == 0 and result.constant_value() == 0
+            assert total_degree(result) == 0 and result.constant_value() == 0
 
 
 def test_kernel_matches_the_reference_in_the_wide_linearizer_ring():
@@ -452,11 +449,9 @@ def test_kernel_matches_the_reference_in_the_wide_linearizer_ring():
                   _random_rational_poly(rng, variables, nvars, max_degree=2))
                  for _ in range(rng.randint(1, 5))]
         result, expected = _check_kernel(pairs, nvars)
-        assert result.with_nvars(130) == Poly(130, expected)
+        assert result == Poly(nvars, expected)
     corner = Poly.variable(130, nvars) * Poly.variable(1, nvars) ** 2
     assert str(corner) == "x1^2*x130"
-    with pytest.raises(ValueError, match="term uses x130"):
-        corner.with_nvars(129)
 
 
 def test_kernel_results_stay_usable_after_terms_is_read():
