@@ -45,7 +45,6 @@ from .structure import (
 from .linearizer import (
     Candidate,
     LinearSystemQ,
-    ParamOperator,
     SearchResult,
     build_linearized,
     cond3_system,
@@ -64,7 +63,6 @@ __all__ = [
     "Distribution",
     "LinearSystemQ",
     "OperatorField",
-    "ParamOperator",
     "Poly",
     "PolyParseError",
     "RationalMatrix",

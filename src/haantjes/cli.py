@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .geometry import OperatorField, component_label, load_operator
+from .geometry import OperatorField, load_operator
 from .linearizer import (
     cond3_system,
     default_candidates,
@@ -80,9 +80,10 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
 def _emit_tensor(headline: str, meta: dict, tensor_at, dim: int, args) -> int:
     """Print ``tensor_at(point)``, the point from ``--at`` or None; exit 0 iff zero."""
     point = None if args.at is None else _parse_point(args.at, dim)
+    tensor = tensor_at(point)
     components = [
         {"i": i, "j": j, "k": k, "value": str(value)}
-        for (i, j, k), value in tensor_at(point).nonzero_components()
+        for (i, j, k), value in tensor.nonzero_components()
     ]
     if point is not None:
         meta = dict(meta, point=[str(c) for c in point])
@@ -95,8 +96,7 @@ def _emit_tensor(headline: str, meta: dict, tensor_at, dim: int, args) -> int:
             print(f"{headline}{where}: zero tensor")
         else:
             print(f"{headline}{where}: {len(components)} nonzero components")
-            for c in components:
-                print(f"{component_label(c['i'], c['j'], c['k'])} = {c['value']}")
+            print(tensor)
     return EX_OK if zero else 1
 
 

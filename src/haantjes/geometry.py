@@ -75,10 +75,6 @@ class VectorField:
         self.nvars = nvars
         self.components = tuple(_as_poly(c, nvars) for c in comps)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
     def component(self, i: int) -> Poly:
         """The i-th component (1-based)."""
         if not (1 <= i <= self.dim):
@@ -155,30 +151,21 @@ class OperatorField:
 
     @classmethod
     def identity(cls, dim: int, nvars: int | None = None) -> "OperatorField":
-        nv = nvars or dim
         return cls(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)], nvars=nv
+            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)],
+            nvars=dim if nvars is None else nvars,
         )
 
     @classmethod
-    def jordan_block(cls, dim: int, eigenvalue=0, nvars: int | None = None) -> "OperatorField":
-        """The single Jordan block with ones on the first superdiagonal."""
-        nv = nvars or dim
-        lam = _as_poly(eigenvalue, nv)
-        rows = []
-        for i in range(dim):
-            row = [Poly.zero(nv)] * dim
-            row[i] = lam
-            if i + 1 < dim:
-                row[i + 1] = Poly.constant(1, nv)
-            rows.append(row)
-        return cls(rows, nvars=nv)
+    def jordan_block(cls, dim: int, nvars: int | None = None) -> "OperatorField":
+        """The single nilpotent Jordan block: ones on the first superdiagonal,
+        zeros elsewhere."""
+        return cls(
+            [[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)],
+            nvars=dim if nvars is None else nvars,
+        )
 
     # ----- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
 
     def entry(self, i: int, j: int) -> Poly:
         """Entry in row i, column j (1-based)."""
@@ -357,12 +344,6 @@ class Tensor12:
         return (self.dim, self.nvars, self.comps) == (other.dim, other.nvars, other.comps)
 
     __hash__ = None
-
-    def set_vars(self, values: Mapping[int, Rational]) -> "Tensor12":
-        return Tensor12(
-            [[[c.set_vars(values) for c in col] for col in p] for p in self.comps],
-            nvars=self.nvars,
-        )
 
     def evaluate(self, point: Sequence[Rational]) -> tuple:
         """Nested tuples of Fractions: the component values at a point."""

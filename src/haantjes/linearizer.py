@@ -18,6 +18,9 @@ of the flag of coordinate distributions.  ``search_tensor`` looks for
 rational combinations of candidate tensors whose system is equivalent to
 those conditions.
 
+``build_linearized`` returns the family as one ``OperatorField``; whether it
+has the eigenvalue part is read back from its number of variables.
+
 Every tensor of the family is read at x = 0 once, by ``_linear_forms``,
 as one sparse linear form {column: coefficient} per component; systems,
 combinations and the search are built from these forms.  The one column
@@ -65,17 +68,9 @@ def _unknown_name(key: tuple[int, ...]) -> str:
     return f"lam_{key[0]}"
 
 
-@dataclass(frozen=True)
-class ParamOperator:
-    """The first-order family J + J A(x) - A(x) J (+ lam(x) Id)."""
-
-    operator: OperatorField
-    dim: int
-    include_eigenvalue: bool
-
-
-def build_linearized(n: int, include_eigenvalue: bool = False) -> ParamOperator:
-    """The linearized family in dimension n, with symbolic coefficients."""
+def build_linearized(n: int, include_eigenvalue: bool = False) -> OperatorField:
+    """The family J + J A(x) - A(x) J (+ lam(x) Id) in dimension n: an operator
+    field in n + n^3 variables, n + n^3 + n with the eigenvalue part."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
     columns = _unknown_columns(n, include_eigenvalue)
@@ -94,7 +89,7 @@ def build_linearized(n: int, include_eigenvalue: bool = False) -> ParamOperator:
     if include_eigenvalue:
         lam = linear_form([(k,) for k in r])
         L = L + lam * OperatorField.identity(n, nvars=nvars)
-    return ParamOperator(operator=L, dim=n, include_eigenvalue=include_eigenvalue)
+    return L
 
 
 # ----- linear systems over the unknown coefficients ---------------------------
@@ -249,7 +244,7 @@ def linearized_system(
     tensor is computed at x = 0 from the 1-jet of the family there.
     """
     level = _resolve_kind(kind)
-    L = build_linearized(n, include_eigenvalue).operator
+    L = build_linearized(n, include_eigenvalue)
     origin = (0,) * n
     if level == "t":
         return extract_system(tensor_t(L, force=True, at=origin))
@@ -386,17 +381,13 @@ class SearchResult:
             None if self.random_coefficients is None else equivalent(self.random_coefficients),
         )
 
-    def _coefficients(self, coefficients: Sequence[Rational]) -> list[Fraction]:
+    def combined_system(self, coefficients: Sequence[Rational]) -> LinearSystemQ:
+        """The system of the combination sum_m c_m * candidate_m."""
         coeffs = [Fraction(c) for c in coefficients]
         if len(coeffs) != len(self.candidates):
             raise ValueError(
                 f"expected {len(self.candidates)} coefficients, got {len(coeffs)}"
             )
-        return coeffs
-
-    def combined_system(self, coefficients: Sequence[Rational]) -> LinearSystemQ:
-        """The system of the combination sum_m c_m * candidate_m."""
-        coeffs = self._coefficients(coefficients)
         forms = []
         for idx, label in enumerate(self._component_labels):
             form = defaultdict(int)
@@ -405,12 +396,6 @@ class SearchResult:
                     form[column] += c * value
             forms.append((label, form))
         return LinearSystemQ._from_forms(self.dim, False, forms)
-
-    def contains(self, coefficients: Sequence[Rational]) -> bool:
-        """Is the coefficient vector in the span of the solution basis?"""
-        coeffs = self._coefficients(coefficients)
-        basis = RationalMatrix(self.coefficient_basis, len(self.candidates))
-        return basis.rowspace_contains(RationalMatrix([coeffs]))
 
     def to_dict(self) -> dict:
         return {
@@ -452,7 +437,7 @@ def search_tensor(
     cands = tuple(candidates) if candidates is not None else default_candidates()
     if not cands:
         raise ValueError("at least one candidate tensor is required")
-    L = build_linearized(n).operator
+    L = build_linearized(n)
     N0 = nijenhuis(L, at=(0,) * n)
     L0 = L.set_vars(dict.fromkeys(range(1, n + 1), 0))
     bases = {"nijenhuis": N0, "haantjes": torsion_step(N0, L0)}

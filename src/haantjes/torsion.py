@@ -21,8 +21,9 @@ levels follow with an eight-term scheme that factors the same way.
 Every tensor here is a contraction of the 1-jet of its operators, the
 entries L^i_j and their first derivatives d_k L^i_j, in
 ``geometry.contract``.  Its value at a point depends only on L(p) and
-dL(p), so ``at=point`` evaluates the jet there before any contraction;
-parameter variables beyond the coordinate block stay symbolic.
+dL(p), so ``at=point`` sets the coordinates in L and in each derivative as
+it is taken, before any contraction; parameter variables beyond the
+coordinate block stay symbolic.
 
 Torsion and bracket levels are vector-valued 2-forms, S^i_{jk} = -S^i_{kj}:
 only their components with j < k are computed.
@@ -57,10 +58,15 @@ def _transposed(S: Tensor12) -> Tensor12:
 
 
 def _jet(L: OperatorField, at) -> tuple[OperatorField, Tensor12, Tensor12]:
-    """The 1-jet (L, D, Dt) at ``at``: D^i_{jk} = d_k L^i_j, Dt^i_{jk} = d_j L^i_k."""
+    """The 1-jet (L, D, Dt) at ``at``: D^i_{jk} = d_k L^i_j, Dt^i_{jk} = d_j L^i_k;
+    the point goes into each derivative as it is taken, so D is built once."""
     r = range(L.dim)
-    D = _at(Tensor12([[[e.diff(k + 1) for k in r] for e in row] for row in L.entries]), at)
-    return _at(L, at), D, _transposed(D)
+    if at is None:
+        D = Tensor12([[[e.diff(k + 1) for k in r] for e in row] for row in L.entries])
+        return L, D, _transposed(D)
+    point = dict(enumerate(as_point(at, L.dim), start=1))
+    D = Tensor12([[[e.diff(k + 1).set_vars(point) for k in r] for e in row] for row in L.entries])
+    return L.set_vars(point), D, _transposed(D)
 
 
 def _first_terms(D: Tensor12, Dt: Tensor12, A: tuple) -> list:
@@ -199,5 +205,6 @@ def tensor_t(L: OperatorField, force: bool = False, at=None) -> Tensor12:
             f"tensor_t targets dimension 4, got dim={L.dim}; "
             "pass force=True to evaluate the same contraction anyway"
         )
-    return obstruction(torsion_level(L, 2, at=at), _at(L, at).traceless_part())
+    L_at = _at(L, at)
+    return obstruction(torsion_step(nijenhuis(L, at=at), L_at), L_at.traceless_part())
 

@@ -10,10 +10,11 @@ enumerations, on operators that ``conjugated_block`` draws.
 ``grlex_cmp`` and ``evaluate_term_by_term`` are the comparator and the
 Fraction loop behind ``Poly.sorted_terms`` and ``Poly.__call__``, where the
 library sorts by a key and evaluates through ``set_vars``.
-``total_degree``, ``apply_point`` and ``specialize`` are the test-only
-readings of a polynomial, an affine change and the linearized family: the
-degree of a polynomial, the image of a point, and the family with numbers
-put in for its unknowns.
+``total_degree``, ``apply_point``, ``specialize`` and ``contains`` are the
+test-only readings of a polynomial, an affine change, the linearized family
+and a search result: the degree of a polynomial, the image of a point, the
+family with numbers put in for its unknowns, and membership of a coefficient
+vector in the solution space.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from haantjes.geometry import (
     contract_upper,
     lie_bracket,
 )
-from haantjes.linearizer import ParamOperator, _unknown_columns
-from haantjes.polyring import Poly, sum_of_products
+from haantjes.linearizer import SearchResult, _unknown_columns
+from haantjes.polyring import Poly, RationalMatrix, sum_of_products
 from haantjes.structure import Distribution
 from haantjes.torsion import torsion_level
 
@@ -96,20 +97,33 @@ def apply_point(phi: AffineChange, point) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(image, phi.shift))
 
 
-def specialize(family: ParamOperator, coefficients, eigenvalue=None) -> OperatorField:
-    """The family with numbers for its unknowns, as an operator field on Q^dim.
+def specialize(family: OperatorField, coefficients, eigenvalue=None) -> OperatorField:
+    """The family of ``build_linearized`` with numbers for its unknowns, as an
+    operator field on Q^dim.
 
     ``coefficients`` maps (i, j, k) to the value of a^i_{j;k} and
-    ``eigenvalue`` maps k to lam_k; every unknown not given is 0.
+    ``eigenvalue`` maps k to lam_k; every unknown not given is 0.  The
+    family has the eigenvalue part iff it has more than n + n^3 variables.
     """
     n = family.dim
-    columns = _unknown_columns(n, family.include_eigenvalue)
-    values = dict.fromkeys(range(n + 1, family.operator.nvars + 1), 0)
+    columns = _unknown_columns(n, family.nvars > n + n**3)
+    values = dict.fromkeys(range(n + 1, family.nvars + 1), 0)
     lams = (((k,), value) for k, value in (eigenvalue or {}).items())
     for key, value in [*coefficients.items(), *lams]:
         values[n + 1 + columns[key]] = value
-    plain = family.operator.set_vars(values)
+    plain = family.set_vars(values)
     return OperatorField([[Poly(n, e.terms) for e in row] for row in plain.entries], nvars=n)
+
+
+def contains(result: SearchResult, coefficients) -> bool:
+    """Is the coefficient vector in the span of the search's solution basis?"""
+    coeffs = [Fraction(c) for c in coefficients]
+    if len(coeffs) != len(result.candidates):
+        raise ValueError(
+            f"expected {len(result.candidates)} coefficients, got {len(coeffs)}"
+        )
+    basis = RationalMatrix(result.coefficient_basis, len(result.candidates))
+    return basis.rowspace_contains(RationalMatrix([coeffs]))
 
 
 # ----- vector fields and tensors on coordinate fields ------------------------

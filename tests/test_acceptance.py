@@ -44,7 +44,7 @@ from conftest import (
     random_poly,
     random_sparse_affine_change,
 )
-from reference import commuting_triangular_pair
+from reference import commuting_triangular_pair, contains
 
 
 def _report(capsys, number: int, description: str, checks: dict[str, bool]) -> None:
@@ -308,7 +308,7 @@ def test_criterion_10_invariance_suite(capsys):
 def test_criterion_11_search_recovers_the_obstruction_pattern(capsys):
     result = search_tensor(4, t_pattern_candidates())
     target = (Fraction(1), Fraction(-1), Fraction(1))
-    inside = result.contains(target)
+    inside = contains(result, target)
     equivalent = (
         inside
         and result.combined_system(target).rowspace_equal(cond3_system(4))

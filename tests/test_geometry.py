@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -97,9 +96,10 @@ def test_jordan_block_shifts_basis_fields():
     assert apply_operator(j, basis_field(3, 3)) == basis_field(2, 3)
 
 
-def test_jordan_block_with_eigenvalue():
-    j = OperatorField.jordan_block(2, eigenvalue=Fraction(5))
-    assert j.entry(1, 1) == 5 and j.entry(2, 2) == 5 and j.entry(1, 2) == 1
+def test_identity_and_jordan_block_reject_fewer_variables_than_coordinates():
+    for make in (OperatorField.identity, OperatorField.jordan_block):
+        with pytest.raises(ValueError, match="nvars=0 smaller than dim=3"):
+            make(3, nvars=0)
 
 
 def test_composition_matches_matrix_product_pointwise():

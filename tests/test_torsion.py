@@ -356,6 +356,61 @@ def test_tensors_at_a_point_equal_the_evaluated_symbolic_tensors():
         )
 
 
+def _parametric_operator(rng: random.Random, n: int) -> OperatorField:
+    """A random operator in x1..xn and two parameters x{n+1}, x{n+2}; every
+    entry has a term parameter * coordinate, so its derivatives keep a parameter."""
+    nv = n + 2
+
+    def entry():
+        mixed = Poly.variable(rng.choice((n + 1, n + 2)), nv) * Poly.variable(rng.randint(1, n), nv)
+        return random_poly(rng, nv, max_degree=2) + mixed
+
+    return OperatorField([[entry() for _ in range(n)] for _ in range(n)], nvars=nv)
+
+
+def test_tensors_at_a_point_set_only_the_coordinates():
+    rng = random.Random(77)
+    n = 3
+    K, L = _parametric_operator(rng, n), _parametric_operator(rng, n)
+    p = (Fraction(0), Fraction(-5, 3), Fraction(2))  # one zero, one non-integer coordinate
+    coordinates = dict(enumerate(p, start=1))
+
+    def assert_coordinates_set(at_point: Tensor12, symbolic: Tensor12):
+        assert at_point.nvars == symbolic.nvars == n + 2
+        for a_plane, s_plane in zip(at_point.comps, symbolic.comps):
+            for a_col, s_col in zip(a_plane, s_plane):
+                for a, s in zip(a_col, s_col):
+                    assert a == s.set_vars(coordinates)
+
+    assert_coordinates_set(nijenhuis(L, at=p), nijenhuis(L))
+    assert_coordinates_set(fn_bracket(K, L, at=p), fn_bracket(K, L))
+    for level in (1, 2, 3):
+        assert_coordinates_set(torsion_level(L, level, at=p), torsion_level(L, level))
+    for level in (1, 2):
+        assert_coordinates_set(fn_bracket_level(K, L, level, at=p), fn_bracket_level(K, L, level))
+    T = tensor_t(L, force=True, at=p)
+    assert any(v > n for plane in T.comps for col in plane for c in col
+               for mono in c.terms for v, _ in mono)  # the parameters stay symbolic
+    assert_coordinates_set(T, tensor_t(L, force=True))
+
+
+def test_tensors_without_a_point_substitute_nothing(monkeypatch):
+    calls = []
+    set_vars = Poly.set_vars
+
+    def counted(self, values):
+        calls.append(values)
+        return set_vars(self, values)
+
+    monkeypatch.setattr(Poly, "set_vars", counted)
+    L = random_operator(random.Random(79), 4, max_degree=1)
+    torsion_level(L, 2)
+    tensor_t(L)
+    assert calls == []
+    tensor_t(L, at=(0, 1, 0, 0))  # the counter sees the substitutions of a point
+    assert calls
+
+
 def test_tensors_reject_a_point_of_the_wrong_length():
     rng = random.Random(75)
     K, L = random_operator(rng, 3), random_operator(rng, 3)
